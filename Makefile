@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race service-e2e fabric-e2e validate validate-scenarios validate-adaptive bench bench-json bench-check bench-service bench-service-baseline bench-fabric bench-fabric-baseline vulncheck verify
+.PHONY: build test vet race service-e2e fabric-e2e validate validate-scenarios validate-adaptive bench bench-json bench-check bench-service bench-service-baseline bench-fabric bench-fabric-baseline vulncheck fuzz-ndjson verify
 
 # Benchmarks the committed BENCH_2.json baseline tracks: the batch kernel
 # (the configs_per_sec headline), sweep throughput, the per-configuration
@@ -176,6 +176,11 @@ bench-fabric:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(_bench_fabric_run)
 	/tmp/benchjson -service-baseline BENCH_4.json < /tmp/wsnload-fabric-fresh.json
+
+# Differential fuzz of the NDJSON row decoder against the map-based
+# reference decoder kept in internal/serve/ndjson_test.go.
+fuzz-ndjson:
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzNDJSONDecoderMatchesReference -fuzztime 20s
 
 # The full quality gate (DESIGN.md §6).
 verify: build vet test race validate validate-scenarios validate-adaptive

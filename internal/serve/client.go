@@ -304,6 +304,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int, yield fun
 	last := after
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Split(scanRowLines)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -322,6 +323,20 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int, yield fun
 		return last, err
 	}
 	return last, nil
+}
+
+// scanRowLines splits a row stream into newline-terminated lines. A
+// non-blank tail without its newline is a row torn by a dropped
+// connection: it is reported as io.ErrUnexpectedEOF, which is retryable,
+// instead of reaching the decoder as a malformed line.
+func scanRowLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(bytes.TrimSpace(data)) > 0 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	return 0, nil, nil
 }
 
 // Run submits a campaign and streams it to completion, reconnecting with

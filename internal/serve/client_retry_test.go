@@ -187,6 +187,74 @@ func TestClientStreamResumesAfterDrops(t *testing.T) {
 	}
 }
 
+// TestClientStreamResumesAfterTornLine: a daemon that dies mid-line leaves
+// an unterminated tail; the client must treat it as a dropped connection
+// and resume after the last whole row, yielding every row exactly once.
+func TestClientStreamResumesAfterTornLine(t *testing.T) {
+	const total = 5
+	zero := make([]string, len(sweep.FieldNames()))
+	for i := range zero {
+		zero[i] = "0"
+	}
+	var mu sync.Mutex
+	var cursors []int
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/campaigns/c000001/rows", func(w http.ResponseWriter, r *http.Request) {
+		after, err := strconv.Atoi(r.Header.Get(LastRowIndexHeader))
+		if err != nil {
+			t.Errorf("bad resume header: %v", err)
+			after = -1
+		}
+		mu.Lock()
+		cursors = append(cursors, after)
+		first := len(cursors) == 1
+		mu.Unlock()
+		var body []byte
+		var ends []int
+		for i := after + 1; i < total; i++ {
+			body = appendRowJSON(body, i, zero)
+			ends = append(ends, len(body))
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		if !first {
+			w.Write(body) //nolint:errcheck
+			return
+		}
+		// Two and a half rows, then the daemon dies mid-line.
+		w.Write(body[:ends[1]+(ends[2]-ends[1])/2]) //nolint:errcheck
+		w.(http.Flusher).Flush()
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Errorf("hijack: %v", err)
+			return
+		}
+		conn.Close()
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	var got []int
+	last, err := fastClient(ts.URL).StreamRows(context.Background(), "c000001", -1,
+		func(r StreamedRow) error { got = append(got, r.Index); return nil })
+	if err != nil {
+		t.Fatalf("StreamRows gave up on a torn line: %v", err)
+	}
+	if last != total-1 || len(got) != total {
+		t.Fatalf("last = %d after %d rows, want %d after %d", last, len(got), total-1, total)
+	}
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("row %d has index %d: duplicates or gaps across the reconnect", i, idx)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(cursors) != 2 || cursors[1] != 1 {
+		t.Fatalf("resume cursors = %v, want [-1 1]", cursors)
+	}
+}
+
 // TestClientStreamYieldErrorNotRetried pins that a caller's yield error
 // aborts the stream immediately — it must not look like a flaky server.
 func TestClientStreamYieldErrorNotRetried(t *testing.T) {

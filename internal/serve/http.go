@@ -119,7 +119,7 @@ func (s *Server) instrument(route, method string, h http.HandlerFunc) http.Handl
 
 // statusRecorder captures the response status for the request counter. It
 // must keep implementing http.Flusher: the rows handler streams NDJSON
-// through it and flushes per row.
+// through it and flushes whenever its tailer catches up with the dataset.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -240,17 +240,18 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	if scenarioJob {
 		appendRow = appendScenarioRowJSON
 	}
+	// Rows collect in the response buffer and go out when it fills or when
+	// the tailer catches up with the dataset, never one chunk per row.
+	var caughtUp func()
+	if fl != nil {
+		caughtUp = fl.Flush
+	}
 	var buf []byte
-	s.StreamRows(r.Context(), id, after, func(index int, fields []string) error { //nolint:errcheck // the stream just ends; the client re-checks status
+	s.streamRows(r.Context(), id, after, func(index int, fields []string) error { //nolint:errcheck // the stream just ends; the client re-checks status
 		buf = appendRow(buf[:0], index, fields)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-		return nil
-	})
+		_, err := w.Write(buf)
+		return err
+	}, caughtUp)
 }
 
 // errStatus maps service errors onto HTTP status codes; anything

@@ -17,6 +17,15 @@ import (
 // read from the dataset file itself — live spool or completed cache — so a
 // cache-hit replay is byte-identical to the original live stream.
 func (s *Server) StreamRows(ctx context.Context, id string, after int, send func(index int, fields []string) error) error {
+	return s.streamRows(ctx, id, after, send, nil)
+}
+
+// streamRows is StreamRows with a caught-up hook: caughtUp, when not nil,
+// runs each time the tailer has sent rows and then reached the current end
+// of the dataset. The HTTP handler flushes there, so a live stream still
+// delivers every row as soon as it is on disk while a cached replay goes
+// out in full buffers.
+func (s *Server) streamRows(ctx context.Context, id string, after int, send func(index int, fields []string) error, caughtUp func()) error {
 	s.mu.Lock()
 	e, ok := s.jobs[id]
 	s.mu.Unlock()
@@ -26,7 +35,8 @@ func (s *Server) StreamRows(ctx context.Context, id string, after int, send func
 
 	// Tailer accounting and the per-row stream instruments. With telemetry
 	// disabled the handles are nil and the hot loop below keeps the plain
-	// send — no timing, no wrapper, zero overhead.
+	// send — no timing, no wrapper, zero overhead. A slow reader blocks
+	// either a send or the caught-up flush, so both are timed.
 	if active, rows, stalls := s.tel.tailerHandles(id); active != nil {
 		active.Add(1)
 		defer active.Add(-1)
@@ -39,6 +49,15 @@ func (s *Server) StreamRows(ctx context.Context, id string, after int, send func
 			}
 			rows.Inc()
 			return err
+		}
+		if flush := caughtUp; flush != nil {
+			caughtUp = func() {
+				start := time.Now()
+				flush()
+				if time.Since(start) > tailerStallThreshold {
+					stalls.Inc()
+				}
+			}
 		}
 	}
 
@@ -81,12 +100,16 @@ func (s *Server) StreamRows(ctx context.Context, id string, after int, send func
 	t := lineTailer{f: f}
 	lineNo := 0
 	drain := func() error {
+		sent := false
 		for {
 			line, ok, err := t.next()
 			if err != nil {
 				return err
 			}
 			if !ok {
+				if sent && caughtUp != nil {
+					caughtUp()
+				}
 				return nil
 			}
 			lineNo++
@@ -100,6 +123,7 @@ func (s *Server) StreamRows(ctx context.Context, id string, after int, send func
 			if err := send(idx, strings.Split(line, ",")); err != nil {
 				return err
 			}
+			sent = true
 		}
 	}
 	for {

@@ -8,9 +8,9 @@ import (
 )
 
 // tailerStallThreshold classifies a slow row delivery: a send (serialize +
-// write + flush to the client) that takes longer than this counts as a
-// tailer stall — the signal that a slow reader is holding a streamer
-// goroutine, since the spool read side never blocks.
+// write to the client) or a caught-up flush that takes longer than this
+// counts as a tailer stall — the signal that a slow reader is holding a
+// streamer goroutine, since the spool read side never blocks.
 const tailerStallThreshold = 50 * time.Millisecond
 
 // telemetry is the server's pre-resolved metric handle set. Handles are

@@ -288,6 +288,36 @@ func BenchmarkStreamRowsTelemetry(b *testing.B) {
 	}
 }
 
+// slowFlusher is a ResponseWriter whose every flush blocks past the tailer
+// stall threshold, like a reader that stopped draining its socket.
+type slowFlusher struct{ *httptest.ResponseRecorder }
+
+func (w slowFlusher) Flush() {
+	time.Sleep(tailerStallThreshold + 10*time.Millisecond)
+	w.ResponseRecorder.Flush()
+}
+
+// TestSlowReaderCountsTailerStall: a reader slow enough to block the
+// caught-up flush counts as a tailer stall, as a blocked send always did.
+func TestSlowReaderCountsTailerStall(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := openServer(t, t.TempDir(), Options{Registry: reg})
+	st, err := s.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitFor(t, "job done", func() bool { return mustStatus(t, s, st.ID).State == StateDone })
+
+	serveRows(s, slowFlusher{httptest.NewRecorder()}, st.ID)
+	metrics := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := metrics.Body.String()
+	if !strings.Contains(body, "wsnlinkd_tailer_stalls_total ") ||
+		strings.Contains(body, "wsnlinkd_tailer_stalls_total 0\n") {
+		t.Fatalf("slow reader counted no tailer stall:\n%s", body)
+	}
+}
+
 // TestTelemetryDisabledSurface pins the nil-registry behavior: the routes
 // exist, /metrics answers 503, and handlers are served unwrapped.
 func TestTelemetryDisabledSurface(t *testing.T) {
