@@ -51,114 +51,56 @@ type ExecJob struct {
 // the last emitted row.
 func (j *ExecJob) Emit(r StreamedRow) error { return j.emit(r) }
 
-// executeRemote is executeJob's path through Options.Executor: the server
-// prepares the spool and checkpoint exactly as for a local run, then hands
-// a row sink to the executor instead of the sweep engine.
-func (s *Server) executeRemote(ctx context.Context, e *jobEntry, spec CampaignSpec,
-	scn scenario.Spec, cfgs []stack.Config, fingerprint uint64, fp string) error {
-	link := scn.Kind == scenario.KindLink
-
-	var (
-		f      file
-		resume bool
-		done   int
-		encode func(StreamedRow) error
-		err    error
-	)
-	if link {
-		var enc *sweep.Encoder
-		var prefix []sweep.Row
-		f, enc, resume, prefix, err = prepareSpool(s.store, fp, fingerprint, len(cfgs))
-		if err != nil {
-			return err
-		}
-		done = len(prefix)
-		encode = func(r StreamedRow) error {
-			if err := enc.Encode(r.Row); err != nil {
-				return err
-			}
-			return enc.Flush()
-		}
-	} else {
-		var enc *sweep.ScenarioEncoder
-		f, enc, resume, done, err = prepareScenarioSpool(s.store, fp, fingerprint, len(cfgs))
-		if err != nil {
-			return err
-		}
-		encode = func(r StreamedRow) error {
-			if err := enc.Encode(r.ScenarioRow()); err != nil {
-				return err
-			}
-			return enc.Flush()
-		}
-	}
-
-	ck, err := sweep.OpenCheckpointWriter(s.store.SpoolCheckpoint(fp), fingerprint, len(cfgs), resume)
+// executeRemote is the Executor half of executeRows: the spool is
+// prepared exactly as for a local run, and the executor's rows go through
+// write and then the checkpoint sidecar — the engine's durability order.
+// done is the checkpointed prefix the spool was realigned to.
+func (s *Server) executeRemote(ctx context.Context, c *campaign, resume bool, done int, write func(StreamedRow) error) error {
+	ck, err := sweep.OpenCheckpointWriter(s.store.SpoolCheckpoint(c.fp), c.fingerprint, len(c.cfgs), resume)
 	if err != nil {
-		f.Close()
 		return err
 	}
-	closeFiles := func() error {
-		cerr := f.Close()
-		if kerr := ck.Close(); cerr == nil {
-			cerr = kerr
-		}
-		return cerr
-	}
 	if ck.Done() != done {
-		closeFiles()
+		ck.Close()
 		return fmt.Errorf("serve: internal: checkpoint records %d rows, spool has %d", ck.Done(), done)
 	}
-
-	e.prog.Begin(len(cfgs), done)
-	s.mu.Lock()
-	e.job.ResumedFrom = done
-	e.ready = true
-	s.mu.Unlock()
-	e.notify.Broadcast()
+	c.e.prog.Begin(len(c.cfgs), done)
 
 	next := done
 	job := &ExecJob{
-		ID:          e.job.ID,
-		Spec:        spec,
-		Scenario:    scn,
-		Configs:     cfgs,
-		Fingerprint: fingerprint,
+		ID:          c.e.job.ID,
+		Spec:        c.spec,
+		Scenario:    c.scn,
+		Configs:     c.cfgs,
+		Fingerprint: c.fingerprint,
 		Resume:      done,
 		emit: func(r StreamedRow) error {
 			if r.Index != next {
 				return fmt.Errorf("serve: executor emitted row %d, want %d", r.Index, next)
 			}
-			if err := encode(r); err != nil {
+			if err := write(r); err != nil {
 				return err
 			}
-			// Spool before checkpoint, like the engine: the CSV is always
-			// at least as long as the sidecar claims.
 			if err := ck.Append(next); err != nil {
 				return err
 			}
 			next++
-			e.prog.MarkDone()
-			e.notify.Broadcast()
+			c.e.prog.MarkDone()
+			c.e.notify.Broadcast()
 			return nil
 		},
 	}
 
 	execErr := s.opts.Executor.ExecuteCampaign(ctx, job)
-	closeErr := closeFiles()
+	closeErr := ck.Close()
 	if execErr != nil {
 		return execErr
 	}
 	if closeErr != nil {
 		return closeErr
 	}
-	if next != len(cfgs) {
-		return fmt.Errorf("serve: executor finished after %d of %d rows", next, len(cfgs))
+	if next != len(c.cfgs) {
+		return fmt.Errorf("serve: executor finished after %d of %d rows", next, len(c.cfgs))
 	}
-	if err := s.store.Promote(fp); err != nil {
-		return err
-	}
-	s.publishPromoted(fp)
-	s.tel.cachePromoted(s.store.CacheSize())
 	return nil
 }

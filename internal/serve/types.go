@@ -353,22 +353,15 @@ func (c CampaignSpec) ScenarioKind() scenario.Kind {
 	return k
 }
 
-// fingerprint dispatches the campaign identity hash by scenario kind: link
-// campaigns keep the legacy fingerprint (existing caches, checkpoints and
-// manifests stay valid); every other kind hashes through the scenario
-// namespace, parameter block included.
+// fingerprint returns the campaign identity hash: the adaptive namespace
+// for adaptive campaigns, otherwise sweep.Fingerprint's namespace for the
+// scenario kind (link campaigns keep the legacy fingerprint, so existing
+// caches, checkpoints and manifests stay valid).
 func (c CampaignSpec) fingerprint(cfgs []stack.Config) (uint64, error) {
 	if c.Mode == ModeAdaptive {
 		return adaptive.Fingerprint(cfgs, c.adaptiveOptions()), nil
 	}
-	scn, err := c.ScenarioSpec()
-	if err != nil {
-		return 0, err
-	}
-	if scn.Kind == scenario.KindLink {
-		return sweep.CampaignFingerprint(cfgs, c.options()), nil
-	}
-	return sweep.ScenarioFingerprint(scn, cfgs, c.options())
+	return sweep.Fingerprint(c.scenarioSpecRaw(), cfgs, c.options())
 }
 
 // options maps the spec onto engine options (checkpoint plumbing is added

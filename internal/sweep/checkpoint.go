@@ -9,6 +9,7 @@ import (
 	"os"
 	"strconv"
 
+	"wsnlink/internal/scenario"
 	"wsnlink/internal/sim"
 	"wsnlink/internal/stack"
 )
@@ -108,10 +109,58 @@ func CampaignFingerprint(cfgs []stack.Config, opts RunOptions) uint64 {
 	return campaignFingerprint(cfgs, opts)
 }
 
-// campaignFingerprint hashes the campaign identity: every configuration and
-// the option knobs that change row content. (Channel and ErrorModel
-// overrides are not part of the hash; keep them stable across resumes.)
+// ScenarioFingerprint returns the campaign identity hash for a scenario
+// campaign: the normalized scenario spec (kind plus its parameter block)
+// folded in front of the same configuration/option words the link
+// fingerprint hashes. Scenario fingerprints occupy a distinct namespace
+// from link campaign fingerprints (a scenario magic word precedes the
+// kind), so a scenario dataset can never alias a link dataset in the
+// content-addressed cache even for the "link" kind, whose rows carry the
+// wider scenario schema.
+func ScenarioFingerprint(spec scenario.Spec, cfgs []stack.Config, opts RunOptions) (uint64, error) {
+	if err := spec.Normalize(); err != nil {
+		return 0, err
+	}
+	return scenarioFingerprint(spec, cfgs, opts), nil
+}
+
+// Fingerprint returns the identity hash of a campaign in the namespace its
+// rows are stored under, for callers that route the link kind through
+// StreamConfigs and every other kind through StreamScenarios: the link
+// kind hashes like CampaignFingerprint (the legacy link schema, whose
+// caches and checkpoints must stay valid) and the other kinds like
+// ScenarioFingerprint.
+func Fingerprint(spec scenario.Spec, cfgs []stack.Config, opts RunOptions) (uint64, error) {
+	if err := spec.Normalize(); err != nil {
+		return 0, err
+	}
+	if spec.Kind == scenario.KindLink {
+		return campaignFingerprint(cfgs, opts), nil
+	}
+	return scenarioFingerprint(spec, cfgs, opts), nil
+}
+
+// campaignFingerprint hashes a link campaign's identity.
 func campaignFingerprint(cfgs []stack.Config, opts RunOptions) uint64 {
+	return hashCampaign(nil, cfgs, opts)
+}
+
+// scenarioFingerprint hashes a normalized scenario spec with the campaign
+// identity.
+func scenarioFingerprint(spec scenario.Spec, cfgs []stack.Config, opts RunOptions) uint64 {
+	return hashCampaign(&spec, cfgs, opts)
+}
+
+// scenarioFingerprintMagic separates scenario campaign fingerprints from
+// link campaign fingerprints ("scn" in ASCII).
+const scenarioFingerprintMagic = 0x73636e
+
+// hashCampaign hashes the campaign identity: every configuration and the
+// option knobs that change row content, preceded for a scenario campaign
+// (spec non-nil) by its namespace — the scenario magic word, the kind and
+// the kind's parameter words. (Channel and ErrorModel overrides are not
+// part of the hash; keep them stable across resumes.)
+func hashCampaign(spec *scenario.Spec, cfgs []stack.Config, opts RunOptions) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	wu := func(v uint64) {
@@ -119,6 +168,13 @@ func campaignFingerprint(cfgs []stack.Config, opts RunOptions) uint64 {
 		h.Write(buf[:])
 	}
 	wf := func(v float64) { wu(math.Float64bits(v)) }
+	if spec != nil {
+		wu(scenarioFingerprintMagic)
+		h.Write([]byte(spec.Kind))
+		for _, w := range spec.HashWords() {
+			wu(w)
+		}
+	}
 	wu(uint64(len(cfgs)))
 	for _, c := range cfgs {
 		wf(c.DistanceM)

@@ -61,18 +61,92 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 	if err != nil {
 		return err
 	}
-	if yield == nil {
-		yield = func(Row) error { return nil }
-	}
-
 	// The fingerprint doubles as checkpoint identity and trace-span
 	// namespace; computing it unconditionally keeps both derivations in
 	// one place (it is microseconds over a campaign of any size).
 	fingerprint := campaignFingerprint(cfgs, opts)
+	return stream(ctx, cfgs, opts, fingerprint, linkBlocks(cfgs, opts, fingerprint),
+		func(r Row) Row { return r }, yield)
+}
+
+// linkBlocks returns the link engine's per-worker block simulator: the
+// batch kernel over a per-worker arena (allocated on the worker's first
+// block, so lookup tables and result storage are reused and the steady
+// state allocates nothing), or runOne when blocking is off.
+func linkBlocks(cfgs []stack.Config, opts RunOptions, fingerprint uint64) func() simulateBlock[Row] {
+	return func() simulateBlock[Row] {
+		if opts.BatchSize == 1 {
+			return func(ctx context.Context, start int, rows []Row, errs []error) {
+				rows[0], errs[0] = runOne(ctx, cfgs[start], start, opts, fingerprint)
+			}
+		}
+		var arena *sim.BatchArena
+		var seeds []uint64
+		return func(ctx context.Context, start int, rows []Row, errs []error) {
+			if arena == nil {
+				arena = sim.NewBatchArena()
+				seeds = make([]uint64, opts.BatchSize)
+			}
+			n := len(rows)
+			for j := 0; j < n; j++ {
+				seeds[j] = opts.seedFor(start + j)
+			}
+			bopts := sim.BatchOptions{
+				Packets:    opts.Packets,
+				Seeds:      seeds[:n],
+				Channel:    opts.Channel,
+				ErrorModel: opts.ErrorModel,
+				Obs:        opts.Metrics,
+				Arena:      arena,
+			}
+			if opts.Tracer != nil {
+				bopts.TraceFor = func(j int) *obs.SpanContext {
+					return opts.traceSpan(fingerprint, start+j)
+				}
+			}
+			res, lerrs, berr := sim.RunBatch(ctx, cfgs[start:start+n], bopts)
+			for j := 0; j < n; j++ {
+				rows[j], errs[j] = Row{}, nil
+				switch {
+				case berr != nil:
+					errs[j] = berr
+				case lerrs != nil && lerrs[j] != nil:
+					errs[j] = lerrs[j]
+				default:
+					rows[j] = Row{
+						Config:  cfgs[start+j],
+						Report:  metrics.FromResult(res[j]),
+						Seed:    seeds[j],
+						Packets: opts.Packets,
+					}
+				}
+			}
+		}
+	}
+}
+
+// simulateBlock simulates the configurations [start, start+len(rows)) of
+// a campaign into rows, setting errs[j] for each member that failed. Each
+// engine worker builds its own, so per-worker state needs no locking.
+type simulateBlock[R any] func(ctx context.Context, start int, rows []R, errs []error)
+
+// stream is the one campaign engine loop, shared by every row kind: a
+// dispatcher handing out blocks of opts.BatchSize configurations under a
+// token window, a worker pool running newBlock's simulator, and an emitter
+// that reorders completions, yields rows in input order, reports each
+// row's link columns to opts.OnRow, and checkpoints the yielded prefix.
+// opts is normalized and fingerprint is the campaign identity the
+// checkpoint sidecar and trace spans carry.
+func stream[R any](ctx context.Context, cfgs []stack.Config, opts RunOptions, fingerprint uint64,
+	newBlock func() simulateBlock[R], linkRow func(R) Row, yield func(R) error) error {
+	if yield == nil {
+		yield = func(R) error { return nil }
+	}
 
 	start := 0
 	var ck *checkpointFile
 	if opts.Checkpoint != "" {
+		var err error
 		ck, err = openCheckpoint(opts.Checkpoint, fingerprint, len(cfgs), opts.Resume)
 		if err != nil {
 			return err
@@ -102,7 +176,7 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 
 	type outcome struct {
 		idx int
-		row Row
+		row R
 		err error
 	}
 	jobs := make(chan int) // block start indices; block = [i, i+BatchSize)∩[0,len)
@@ -114,63 +188,16 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker batch state, allocated once on first block: the
-			// kernel arena (lanes, lookup tables, result storage) and the
-			// seed scratch buffer.
-			var arena *sim.BatchArena
-			var seeds []uint64
+			simulate := newBlock()
+			rows := make([]R, opts.BatchSize)
+			errs := make([]error, opts.BatchSize)
 			for bstart := range jobs {
-				n := len(cfgs) - bstart
-				if n > opts.BatchSize {
-					n = opts.BatchSize
-				}
-				if opts.BatchSize == 1 {
-					var t0 time.Time
-					if opts.Metrics != nil {
-						t0 = time.Now()
-					}
-					row, err := runOne(sctx, cfgs[bstart], bstart, opts, fingerprint)
-					if opts.Metrics != nil {
-						d := time.Since(t0)
-						opts.Metrics.ObserveConfig(d)
-						opts.Metrics.StageAdd(obs.StageSimulate, d)
-					}
-					if opts.Progress != nil {
-						opts.Progress.done.Add(1)
-					}
-					select {
-					case results <- outcome{idx: bstart, row: row, err: err}:
-					case <-sctx.Done():
-						return
-					}
-					continue
-				}
-				if arena == nil {
-					arena = sim.NewBatchArena()
-					seeds = make([]uint64, opts.BatchSize)
-				}
-				for j := 0; j < n; j++ {
-					seeds[j] = opts.seedFor(bstart + j)
-				}
+				n := min(len(cfgs)-bstart, opts.BatchSize)
 				var t0 time.Time
 				if opts.Metrics != nil {
 					t0 = time.Now()
 				}
-				bopts := sim.BatchOptions{
-					Packets:    opts.Packets,
-					Seeds:      seeds[:n],
-					Channel:    opts.Channel,
-					ErrorModel: opts.ErrorModel,
-					Obs:        opts.Metrics,
-					Arena:      arena,
-				}
-				if opts.Tracer != nil {
-					base := bstart
-					bopts.TraceFor = func(j int) *obs.SpanContext {
-						return opts.traceSpan(fingerprint, base+j)
-					}
-				}
-				res, lerrs, berr := sim.RunBatch(sctx, cfgs[bstart:bstart+n], bopts)
+				simulate(sctx, bstart, rows[:n], errs[:n])
 				if opts.Metrics != nil {
 					// Per-config durations inside a block are not observable
 					// individually; attribute the block evenly so counts and
@@ -182,25 +209,11 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 					}
 				}
 				for j := 0; j < n; j++ {
-					out := outcome{idx: bstart + j}
-					switch {
-					case berr != nil:
-						out.err = berr
-					case lerrs != nil && lerrs[j] != nil:
-						out.err = lerrs[j]
-					default:
-						out.row = Row{
-							Config:  cfgs[out.idx],
-							Report:  metrics.FromResult(res[j]),
-							Seed:    seeds[j],
-							Packets: opts.Packets,
-						}
-					}
 					if opts.Progress != nil {
 						opts.Progress.done.Add(1)
 					}
 					select {
-					case results <- out:
+					case results <- outcome{idx: bstart + j, row: rows[j], err: errs[j]}:
 					case <-sctx.Done():
 						return
 					}
@@ -211,10 +224,7 @@ func StreamConfigs(ctx context.Context, cfgs []stack.Config, opts RunOptions, yi
 	go func() { // dispatcher: one token per config, one send per block
 		defer close(jobs)
 		for i := start; i < len(cfgs); i += opts.BatchSize {
-			n := len(cfgs) - i
-			if n > opts.BatchSize {
-				n = opts.BatchSize
-			}
+			n := min(len(cfgs)-i, opts.BatchSize)
 			var t0 time.Time
 			if opts.Metrics != nil {
 				t0 = time.Now()
@@ -293,7 +303,7 @@ loop:
 					break loop
 				}
 				if opts.OnRow != nil {
-					opts.OnRow(o.row)
+					opts.OnRow(linkRow(o.row))
 				}
 				if opts.Metrics != nil {
 					d := time.Since(y0)
