@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race service-e2e fabric-e2e validate validate-scenarios validate-adaptive bench bench-json bench-check bench-service bench-service-baseline bench-fabric bench-fabric-baseline vulncheck fuzz-ndjson verify
+.PHONY: build test vet race service-e2e fabric-e2e validate validate-scenarios validate-adaptive bench bench-json bench-check bench-service bench-service-baseline bench-fabric bench-fabric-baseline vulncheck fuzz-ndjson verify loc
 
 # Benchmarks the committed BENCH_2.json baseline tracks: the batch kernel
 # (the configs_per_sec headline), sweep throughput, the per-configuration
@@ -181,6 +181,13 @@ bench-fabric:
 # reference decoder kept in internal/serve/ndjson_test.go.
 fuzz-ndjson:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzNDJSONDecoderMatchesReference -fuzztime 20s
+
+# Go line counts, non-test and test, over the files git tracks or would
+# track, excluding the servicebench module; each change reports its net
+# non-test delta from these numbers.
+loc:
+	@printf 'non-test %s\n' "$$(git ls-files --cached --others --exclude-standard -- '*.go' ':!servicebench/**' ':!*_test.go' | xargs cat | wc -l)"
+	@printf 'test %s\n' "$$(git ls-files --cached --others --exclude-standard -- '*_test.go' ':!servicebench/**' | xargs cat | wc -l)"
 
 # The full quality gate (DESIGN.md §6).
 verify: build vet test race validate validate-scenarios validate-adaptive

@@ -118,7 +118,7 @@ func BenchmarkRunFast(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := wsnlink.SimulateFast(cfg, wsnlink.SimOptions{
+		if _, err := wsnlink.Simulate(context.Background(), cfg, wsnlink.SimOptions{
 			Packets: 1000, Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)

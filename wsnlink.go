@@ -87,8 +87,7 @@ const (
 
 // Simulate runs one configuration, honoring ctx for cancellation and
 // deadline between packets. The engine is selected by opts.Engine:
-// EngineFast (the zero value) or EngineDES. This is the single entry point
-// the deprecated Simulate* variants collapse into.
+// EngineFast (the zero value) or EngineDES.
 func Simulate(ctx context.Context, cfg Config, opts SimOptions) (SimResult, error) {
 	return sim.Simulate(ctx, cfg, opts)
 }
@@ -113,28 +112,6 @@ func NewSimBatchArena() *SimBatchArena { return sim.NewBatchArena() }
 // engine uses, so hand-rolled SimulateBatch calls can reproduce (or pair
 // with) a sweep's rows exactly.
 func DeriveSeed(base uint64, idx int) uint64 { return sim.DeriveSeed(base, idx) }
-
-// SimulateContext runs one configuration on the event-driven simulator.
-//
-// Deprecated: call Simulate with opts.Engine = EngineDES.
-func SimulateContext(ctx context.Context, cfg Config, opts SimOptions) (SimResult, error) {
-	return sim.RunContext(ctx, cfg, opts)
-}
-
-// SimulateFastContext runs one configuration on the Monte-Carlo fast path.
-//
-// Deprecated: call Simulate (EngineFast is the default engine).
-func SimulateFastContext(ctx context.Context, cfg Config, opts SimOptions) (SimResult, error) {
-	return sim.RunFastContext(ctx, cfg, opts)
-}
-
-// SimulateFast runs one configuration on the Monte-Carlo fast path without
-// cancellation.
-//
-// Deprecated: call Simulate with context.Background().
-func SimulateFast(cfg Config, opts SimOptions) (SimResult, error) {
-	return sim.RunFast(cfg, opts)
-}
 
 // Measure derives the metric report from a simulation result.
 func Measure(res SimResult) Report { return metrics.FromResult(res) }
@@ -189,13 +166,6 @@ func SweepStream(ctx context.Context, space Space, opts SweepOptions, yield func
 // SweepStream for campaign-scale spaces or when cancellation/resume
 // matters.
 func Sweep(ctx context.Context, space Space, opts SweepOptions) ([]SweepRow, error) {
-	return sweep.RunSpace(ctx, space, opts)
-}
-
-// SweepContext collects a campaign into a slice, honoring ctx.
-//
-// Deprecated: call Sweep, which is now context-first.
-func SweepContext(ctx context.Context, space Space, opts SweepOptions) ([]SweepRow, error) {
 	return sweep.RunSpace(ctx, space, opts)
 }
 
