@@ -5,7 +5,8 @@
 // paper published — and converted into calibration observations for the
 // model-fitting pipeline.
 //
-// The core is the streaming engine (StreamSpace / StreamConfigs): a worker
+// The core is the streaming engine (StreamSpace / StreamConfigs for link
+// rows, StreamScenarios for scenario rows — one engine loop): a worker
 // pool that emits completed rows in input order through a yield callback,
 // holds only O(workers) rows live, honors context cancellation, and can
 // checkpoint progress to a sidecar file so an interrupted campaign resumes
@@ -138,8 +139,9 @@ type RunOptions struct {
 	// the way the Tracer's ring eviction would.
 	TraceSample int
 	// OnRow, if non-nil, is called for every emitted row, in input order,
-	// from the goroutine running the stream (after yield). Use it for
-	// lightweight observation; heavy work here backpressures the sweep.
+	// from the goroutine running the stream (after yield); scenario
+	// campaigns pass each row's link columns. Use it for lightweight
+	// observation; heavy work here backpressures the sweep.
 	OnRow func(Row)
 	// ErrorPolicy selects fail-fast (default) or collect-and-continue
 	// handling of per-configuration errors.
