@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race service-e2e fabric-e2e validate validate-scenarios validate-adaptive bench bench-json bench-check bench-service bench-service-baseline bench-fabric bench-fabric-baseline vulncheck fuzz-ndjson verify loc
+.PHONY: build test vet race service-e2e fabric-e2e validate validate-scenarios validate-adaptive bench bench-json bench-check bench-kernel bench-service bench-service-baseline bench-fabric bench-fabric-baseline vulncheck fuzz-ndjson verify loc
 
 # Benchmarks the committed BENCH_2.json baseline tracks: the batch kernel
 # (the configs_per_sec headline), sweep throughput, the per-configuration
@@ -95,6 +95,14 @@ bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkRunBatch' -benchmem . \
 		| /tmp/benchjson -baseline BENCH_2.json > /dev/null
+
+# Kernel benchmarks for a same-host before/after comparison: the batch
+# kernel, the pooled fast path and the DES engine, ten samples each with
+# allocation counts. Run it in both checkouts, interleaved, and compare
+# medians against the spread of the baseline's samples.
+bench-kernel:
+	$(GO) test -run '^$$' -bench '^(BenchmarkRunBatch|BenchmarkRunFast|BenchmarkSimDES)$$' \
+		-count=10 -benchmem .
 
 # Service benchmark knobs, shared by the baseline and the gate so both
 # measure the same workload shape.

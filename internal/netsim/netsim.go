@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"wsnlink/internal/channel"
 	"wsnlink/internal/frame"
@@ -106,9 +105,8 @@ type activeTx struct {
 
 // starSim holds the shared-medium state.
 type starSim struct {
-	engine   *sim.Engine
-	opts     Options
-	errModel phy.ErrorModel
+	engine *sim.Engine
+	opts   Options
 
 	nodes  []*node
 	active []*activeTx
@@ -120,20 +118,14 @@ type starSim struct {
 	stopErr error           // first cancellation error observed
 }
 
-// node is one sender's state machine.
+// node is one sender: the shared link attempt step plus its send queue.
 type node struct {
-	id        int
-	cfg       stack.Config
-	link      *channel.Link
-	rng       *rand.Rand
-	txDBm     float64
-	frameBits int
-	ePerBit   float64
-	frameTime float64
+	*sim.Sender
+	id  int
+	cfg stack.Config
 
-	queue     []*sim.PacketRecord
-	busy      bool
-	channelAt float64
+	queue []*sim.PacketRecord
+	busy  bool
 
 	res NodeResult
 }
@@ -161,10 +153,9 @@ func RunStarContext(ctx context.Context, cfgs []stack.Config, opts Options) (Res
 			len(opts.NodeSeeds), len(cfgs))
 	}
 	s := &starSim{
-		engine:   sim.NewEngine(),
-		opts:     opts,
-		errModel: opts.ErrorModel,
-		ctx:      ctx,
+		engine: sim.NewEngine(),
+		opts:   opts,
+		ctx:    ctx,
 	}
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
@@ -173,26 +164,11 @@ func RunStarContext(ctx context.Context, cfgs []stack.Config, opts Options) (Res
 		if cfg.Saturated() {
 			return Result{}, fmt.Errorf("netsim: node %d: saturated senders are not supported in contention mode", i)
 		}
-		seed := nodeSeed(opts, i)
-		// The PCG stream constants match sim.NewLinkSim exactly: node i
-		// replays the same backoff/channel/loss draws a single-link run
-		// with this seed would, which is what makes the one-node star a
-		// bit-exact superset of the link simulator.
-		nrng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-		link, err := channel.NewLink(*opts.Channel, cfg.DistanceM, nrng)
+		step, err := sim.NewSender(cfg, nodeSeed(opts, i), opts.Channel, opts.ErrorModel)
 		if err != nil {
 			return Result{}, fmt.Errorf("netsim: node %d: %w", i, err)
 		}
-		n := &node{
-			id:        i,
-			cfg:       cfg,
-			link:      link,
-			rng:       nrng,
-			txDBm:     cfg.TxPower.DBm(),
-			frameBits: 8 * frame.OnAirBytes(cfg.PayloadBytes),
-			ePerBit:   cfg.TxPower.TxEnergyPerBitMicroJ(),
-			frameTime: mac.FrameAirTime(cfg.PayloadBytes),
-		}
+		n := &node{Sender: step, id: i, cfg: cfg}
 		n.res.Config = cfg
 		s.nodes = append(s.nodes, n)
 	}
@@ -207,6 +183,7 @@ func RunStarContext(ctx context.Context, cfgs []stack.Config, opts Options) (Res
 	res := Result{Duration: s.lastEnd}
 	var deliveredBits float64
 	for _, n := range s.nodes {
+		n.res.Counters = n.Counters
 		res.Nodes = append(res.Nodes, n.res)
 		res.TotalCollisions += n.res.Collisions
 		deliveredBits += float64(n.res.Counters.Delivered) *
@@ -254,22 +231,17 @@ func (s *starSim) generate(n *node, i int) {
 			return
 		}
 	}
-	rec := &sim.PacketRecord{ID: i, GenTime: s.engine.Now(), QueueLen: len(n.queue)}
-	n.res.Counters.Generated++
-	n.res.Counters.SumQueueOccupancy += float64(len(n.queue))
-	n.res.Counters.ArrivalsSeen++
-	if len(n.queue) > n.res.Counters.MaxQueueOccupancy {
-		n.res.Counters.MaxQueueOccupancy = len(n.queue)
-	}
+	now := s.engine.Now()
+	rec := &sim.PacketRecord{ID: i, GenTime: now}
+	n.Arrive(rec, len(n.queue))
 	switch {
 	case !n.busy && len(n.queue) == 0:
 		s.startService(n, rec)
 	case len(n.queue) < n.cfg.QueueCap:
 		n.queue = append(n.queue, rec)
 	default:
-		rec.QueueDrop = true
-		n.res.Counters.QueueDrops++
-		s.touchEnd(s.engine.Now())
+		n.Drop(rec, now)
+		s.touchEnd(now)
 	}
 	if i+1 < s.opts.PacketsPerNode {
 		s.scheduleGeneration(n, i+1)
@@ -286,23 +258,19 @@ func (s *starSim) touchEnd(t float64) {
 // first attempt.
 func (s *starSim) startService(n *node, rec *sim.PacketRecord) {
 	n.busy = true
-	rec.ServiceStart = s.engine.Now()
-	s.mustAt(s.engine.Now()+mac.SPILoadTime(n.cfg.PayloadBytes), func() {
+	s.mustAt(n.Begin(rec, s.engine.Now()), func() {
 		s.beginAttempt(n, rec, 1)
 	})
 }
 
 // beginAttempt runs the backoff before try number `try`. The CCA instant
 // and the transmit instant are both computed here, with the exact float64
-// groupings of sim.LinkSim's procedural timeline (base + (retry+overhead),
-// then base + (turnaround + backoff)), so an uncontended transmission lands
-// on the identical timestamp the single-link simulator would produce.
+// groupings of sim.Sender's Retry and Backoff (base + (retry+overhead),
+// then base + (turnaround + backoff)), so an uncontended transmission
+// lands on the identical timestamp the single-link simulator would produce.
 func (s *starSim) beginAttempt(n *node, rec *sim.PacketRecord, try int) {
-	base := s.engine.Now()
-	if try > 1 {
-		base += n.cfg.RetryDelay + mac.RetrySoftwareOverhead
-	}
-	b := mac.SampleBackoff(n.rng)
+	base := n.Retry(try, s.engine.Now())
+	b := mac.SampleBackoff(n.Rand())
 	ccaAt := base + b
 	txAt := base + (mac.TurnaroundTime + b)
 	s.mustAt(ccaAt, func() { s.ccaCheck(n, rec, try, 0, txAt) })
@@ -337,10 +305,10 @@ func (s *starSim) ccaCheck(n *node, rec *sim.PacketRecord, try, ccaAttempts int,
 			// missing ACK.
 			n.res.CCAFailures++
 			rec.Tries = try
-			s.afterFailedAttempt(n, rec, try, 0)
+			s.afterAttempt(n, rec, try, n.AckTimeout(now))
 			return
 		}
-		backoff := n.rng.Float64() * 2 * s.opts.CongestionBackoffMean
+		backoff := n.Rand().Float64() * 2 * s.opts.CongestionBackoffMean
 		s.mustAt(now+backoff, func() { s.ccaCheck(n, rec, try, ccaAttempts, -1) })
 		return
 	}
@@ -355,24 +323,11 @@ func (s *starSim) ccaCheck(n *node, rec *sim.PacketRecord, try, ccaAttempts int,
 
 func (s *starSim) transmit(n *node, rec *sim.PacketRecord, try int) {
 	now := s.engine.Now()
-	s.advanceNodeChannel(n, now)
-	rssi := n.link.RSSI(n.txDBm)
-	snr := n.link.SNR(n.txDBm)
-	if try == 1 && rec.SNR == 0 {
-		rec.SNR = snr
-		rec.RSSI = channel.Quantize(rssi)
-		rec.LQI = phy.LQI(snr)
-		n.res.Counters.SumSNR += snr
-		n.res.Counters.SumSNRSq += snr * snr
-		n.res.Counters.SumRSSI += rssi
-		n.res.Counters.SumRSSISq += rssi * rssi
-		n.res.Counters.SNRSamples++
-	}
-
+	rssi, snr := n.Sample(rec, try, now)
 	tx := &activeTx{
 		node:          n.id,
 		start:         now,
-		end:           now + n.frameTime,
+		end:           n.Transmit(rec, try, now),
 		rssi:          rssi,
 		maxInterferer: math.Inf(-1),
 	}
@@ -384,80 +339,50 @@ func (s *starSim) transmit(n *node, rec *sim.PacketRecord, try int) {
 		}
 	}
 	s.active = append(s.active, tx)
-
-	rec.Tries = try
-	n.res.Counters.TotalTransmissions++
-	n.res.Counters.TotalTxBits += int64(n.frameBits)
-	n.res.Counters.TxEnergyMicroJ += float64(n.frameBits) * n.ePerBit
-
 	s.mustAt(tx.end, func() { s.txEnd(n, rec, try, tx, snr) })
 }
 
 func (s *starSim) txEnd(n *node, rec *sim.PacketRecord, try int, tx *activeTx, snr float64) {
+	now := s.engine.Now()
 	collided := !math.IsInf(tx.maxInterferer, -1) &&
 		(s.opts.CaptureThresholdDB < 0 ||
 			tx.rssi < tx.maxInterferer+s.opts.CaptureThresholdDB)
 	if collided {
 		n.res.Collisions++
-		s.afterFailedAttempt(n, rec, try, 0)
+		s.afterAttempt(n, rec, try, n.AckTimeout(now))
 		return
 	}
-
-	dataOK := n.rng.Float64() >= s.errModel.DataPER(snr, n.cfg.PayloadBytes)
-	if !dataOK {
-		s.afterFailedAttempt(n, rec, try, 0)
+	out, end := n.Receive(rec, try, snr, now)
+	if out != sim.Lost {
+		// The sink turns around and ACKs; the medium is busy
+		// meanwhile so other senders' CCA defers to it.
+		ackEnd := now + mac.TurnaroundTime + phy.AirTime(frame.AckOnAirBytes)
+		if ackEnd > s.ackBusyUntil {
+			s.ackBusyUntil = ackEnd
+		}
+	}
+	if out == sim.Acked {
+		s.mustAt(end, func() { s.completeService(n, rec) })
 		return
 	}
-	if rec.Delivered {
-		n.res.Counters.Duplicates++
-	} else {
-		rec.Delivered = true
-		n.res.Counters.Delivered++
-	}
-	// The sink turns around and ACKs; the medium is busy meanwhile so
-	// other senders' CCA defers to it.
-	now := s.engine.Now()
-	ackEnd := now + mac.TurnaroundTime + phy.AirTime(frame.AckOnAirBytes)
-	if ackEnd > s.ackBusyUntil {
-		s.ackBusyUntil = ackEnd
-	}
-	ackOK := n.rng.Float64() >= s.errModel.AckPER(snr)
-	if ackOK {
-		rec.Acked = true
-		n.res.Counters.Acked++
-		n.res.Counters.AckedTransmissions++
-		n.res.Counters.SumTriesAcked += float64(try)
-		n.res.Counters.ListenTimeS += mac.AckTime
-		s.mustAt(now+mac.AckTime, func() { s.completeService(n, rec, true) })
-		return
-	}
-	s.afterFailedAttempt(n, rec, try, 0)
+	s.afterAttempt(n, rec, try, end)
 }
 
-// afterFailedAttempt waits out the ACK timeout, then retries or gives up.
-func (s *starSim) afterFailedAttempt(n *node, rec *sim.PacketRecord, try int, extraDelay float64) {
-	now := s.engine.Now()
-	n.res.Counters.ListenTimeS += mac.AckWaitTimeout
-	s.mustAt(now+mac.AckWaitTimeout+extraDelay, func() {
+// afterAttempt resumes a packet whose attempt drew no ACK once the ACK-wait
+// timeout expires at `at`: it retries or gives up.
+func (s *starSim) afterAttempt(n *node, rec *sim.PacketRecord, try int, at float64) {
+	s.mustAt(at, func() {
 		if try < n.cfg.MaxTries {
 			s.beginAttempt(n, rec, try+1)
 			return
 		}
-		s.completeService(n, rec, rec.Delivered)
+		s.completeService(n, rec)
 	})
 }
 
-func (s *starSim) completeService(n *node, rec *sim.PacketRecord, delivered bool) {
+func (s *starSim) completeService(n *node, rec *sim.PacketRecord) {
 	now := s.engine.Now()
-	rec.ServiceEnd = now
-	n.res.Counters.SumServiceTime += now - rec.ServiceStart
-	n.res.Counters.Serviced++
-	if delivered {
-		n.res.Counters.SumDelay += now - rec.GenTime
-		n.res.Counters.DeliveredWithDelay++
-	} else {
-		n.res.Counters.RadioDrops++
-	}
+	n.Complete(rec, now)
 	s.touchEnd(now)
 
 	if len(n.queue) > 0 {
@@ -466,12 +391,5 @@ func (s *starSim) completeService(n *node, rec *sim.PacketRecord, delivered bool
 		s.startService(n, next)
 	} else {
 		n.busy = false
-	}
-}
-
-func (s *starSim) advanceNodeChannel(n *node, t float64) {
-	if t > n.channelAt {
-		n.link.Advance(t - n.channelAt)
-		n.channelAt = t
 	}
 }

@@ -3,13 +3,10 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 
 	"wsnlink/internal/channel"
-	"wsnlink/internal/frame"
 	"wsnlink/internal/interference"
 	"wsnlink/internal/lpl"
-	"wsnlink/internal/mac"
 	"wsnlink/internal/metrics"
 	"wsnlink/internal/mobility"
 	"wsnlink/internal/netsim"
@@ -27,9 +24,9 @@ type RunOptions struct {
 	// node i>0's seed with sim.DeriveSeed(Seed, i); node 0 replays the
 	// single-link stream for Seed exactly.
 	Seed uint64
-	// FullDES selects the event-driven engine for the sim-backed
-	// scenarios (link, interference). The star scenario is always
-	// event-driven; LPL is closed-form; mobility is Monte-Carlo.
+	// FullDES selects sim.EngineDES for the sim-backed scenarios (link,
+	// interference). The star scenario is always event-driven and the
+	// mobility scenario always samples its backoffs; LPL is closed-form.
 	FullDES bool
 	// ErrorModel overrides the calibrated CC2420 model (link, star,
 	// interference base).
@@ -97,8 +94,8 @@ func aggGoodputKbps(delivered, payloadBytes int, duration float64) float64 {
 	return float64(delivered) * float64(payloadBytes) * 8 / duration / 1000
 }
 
-func simOptions(cfg stack.Config, opts RunOptions) sim.Options {
-	return sim.Options{
+func simOptions(opts RunOptions) sim.Options {
+	simOpts := sim.Options{
 		Packets:    opts.Packets,
 		Seed:       opts.Seed,
 		ErrorModel: opts.ErrorModel,
@@ -106,17 +103,14 @@ func simOptions(cfg stack.Config, opts RunOptions) sim.Options {
 		Obs:        opts.Obs,
 		Trace:      opts.Trace,
 	}
-}
-
-func runSim(ctx context.Context, cfg stack.Config, simOpts sim.Options, full bool) (sim.Result, error) {
-	if full {
-		return sim.RunContext(ctx, cfg, simOpts)
+	if opts.FullDES {
+		simOpts.Engine = sim.EngineDES
 	}
-	return sim.RunFastContext(ctx, cfg, simOpts)
+	return simOpts
 }
 
 func runLink(ctx context.Context, cfg stack.Config, opts RunOptions) (Row, error) {
-	res, err := runSim(ctx, cfg, simOptions(cfg, opts), opts.FullDES)
+	res, err := sim.Simulate(ctx, cfg, simOptions(opts))
 	if err != nil {
 		return Row{}, err
 	}
@@ -141,9 +135,9 @@ func runInterference(ctx context.Context, p InterferenceParams, cfg stack.Config
 	if err != nil {
 		return Row{}, err
 	}
-	simOpts := simOptions(cfg, opts)
+	simOpts := simOptions(opts)
 	simOpts.ErrorModel = em
-	res, err := runSim(ctx, cfg, simOpts, opts.FullDES)
+	res, err := sim.Simulate(ctx, cfg, simOpts)
 	if err != nil {
 		return Row{}, err
 	}
@@ -306,10 +300,18 @@ func runMobility(ctx context.Context, p MobilityParams, cfg stack.Config, opts R
 	if cfg.Saturated() {
 		return Row{}, fmt.Errorf("scenario: mobility requires PktInterval > 0")
 	}
-	// The trajectory, fading and losses all draw from one PCG stream
-	// seeded like the single-link simulator, so a row is a pure function
-	// of (params, config, seed).
-	rng := rand.New(rand.NewPCG(opts.Seed, opts.Seed^0x9e3779b97f4a7c15))
+	errModel := opts.ErrorModel
+	if errModel == nil {
+		errModel = phy.NewCalibrated()
+	}
+	// The trajectory, fading, backoffs and losses all draw from the
+	// sender's one PCG stream, seeded like the single-link simulator, so a
+	// row is a pure function of (params, config, seed).
+	step, err := sim.NewSender(cfg, opts.Seed, nil, errModel)
+	if err != nil {
+		return Row{}, err
+	}
+	rng := step.Rand()
 	duration := float64(opts.Packets)*cfg.PktInterval + 1
 	area := mobility.Rect{MinX: 0, MinY: 0, MaxX: p.AreaXM, MaxY: p.AreaYM}
 	path, err := mobility.RandomWaypoint(area, p.SpeedMinMPS, p.SpeedMaxMPS, duration, rng)
@@ -324,19 +326,10 @@ func runMobility(ctx context.Context, p MobilityParams, cfg stack.Config, opts R
 	if err != nil {
 		return Row{}, err
 	}
-	errModel := opts.ErrorModel
-	if errModel == nil {
-		errModel = phy.NewCalibrated()
-	}
 
 	txDBm := cfg.TxPower.DBm()
-	frameBits := 8 * frame.OnAirBytes(cfg.PayloadBytes)
-	ePerBit := cfg.TxPower.TxEnergyPerBitMicroJ()
-	frameTime := mac.FrameAirTime(cfg.PayloadBytes)
-	spiLoad := mac.SPILoadTime(cfg.PayloadBytes)
-
-	var c sim.Counters
-	var linkAt, prevEnd, lastEnd, sumDist float64
+	c := &step.Counters
+	var linkAt, prevEnd, sumDist float64
 	for i := 0; i < opts.Packets; i++ {
 		if i%256 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -349,69 +342,27 @@ func runMobility(ctx context.Context, p MobilityParams, cfg stack.Config, opts R
 		c.ArrivalsSeen++
 		// Single radio, unbounded effective queue: a packet whose
 		// predecessor is still in service waits for it.
-		st := gen
-		if prevEnd > st {
-			st = prevEnd
-		}
-		t := st + spiLoad
-		rec := sim.PacketRecord{ID: i, GenTime: gen, ServiceStart: st}
+		rec := sim.PacketRecord{ID: i, GenTime: gen}
+		t := step.Begin(&rec, max(gen, prevEnd))
 		for try := 1; try <= cfg.MaxTries; try++ {
-			if try > 1 {
-				t += cfg.RetryDelay + mac.RetrySoftwareOverhead
-			}
-			t += mac.TurnaroundTime + mac.SampleBackoff(rng)
+			t = step.Backoff(step.Retry(try, t))
 			if t > linkAt {
 				ml.Advance(t - linkAt)
 				linkAt = t
 			}
 			snr := ml.SNR(txDBm)
 			if try == 1 {
-				rssi := ml.RSSI(txDBm)
-				c.SumSNR += snr
-				c.SumSNRSq += snr * snr
-				c.SumRSSI += rssi
-				c.SumRSSISq += rssi * rssi
-				c.SNRSamples++
+				step.FirstSample(&rec, ml.RSSI(txDBm), snr)
 				sumDist += ml.Distance()
 			}
-			t += frameTime
-			rec.Tries = try
-			c.TotalTransmissions++
-			c.TotalTxBits += int64(frameBits)
-			c.TxEnergyMicroJ += float64(frameBits) * ePerBit
-
-			dataOK := rng.Float64() >= errModel.DataPER(snr, cfg.PayloadBytes)
-			if dataOK {
-				if rec.Delivered {
-					c.Duplicates++
-				} else {
-					rec.Delivered = true
-					c.Delivered++
-				}
-				ackOK := rng.Float64() >= errModel.AckPER(snr)
-				if ackOK {
-					t += mac.AckTime
-					c.ListenTimeS += mac.AckTime
-					c.Acked++
-					c.AckedTransmissions++
-					c.SumTriesAcked += float64(try)
-					break
-				}
+			t = step.Transmit(&rec, try, t)
+			var out sim.Outcome
+			if out, t = step.Receive(&rec, try, snr, t); out == sim.Acked {
+				break
 			}
-			t += mac.AckWaitTimeout
-			c.ListenTimeS += mac.AckWaitTimeout
 		}
-		if !rec.Delivered {
-			c.RadioDrops++
-		}
-		c.SumServiceTime += t - st
-		c.Serviced++
-		if rec.Delivered {
-			c.SumDelay += t - gen
-			c.DeliveredWithDelay++
-		}
+		step.Complete(&rec, t)
 		prevEnd = t
-		lastEnd = t
 	}
 	if opts.Obs != nil {
 		opts.Obs.AddPackets(int64(c.Generated))
@@ -419,7 +370,7 @@ func runMobility(ctx context.Context, p MobilityParams, cfg stack.Config, opts R
 	net := NetStats{
 		Nodes:          1,
 		OfferedLoadPPS: offeredLoadPPS(1, cfg),
-		AggGoodputKbps: aggGoodputKbps(c.Delivered, cfg.PayloadBytes, lastEnd),
+		AggGoodputKbps: aggGoodputKbps(c.Delivered, cfg.PayloadBytes, prevEnd),
 		SpeedMPS:       (p.SpeedMinMPS + p.SpeedMaxMPS) / 2,
 	}
 	if opts.Packets > 0 {
@@ -432,8 +383,8 @@ func runMobility(ctx context.Context, p MobilityParams, cfg stack.Config, opts R
 		Packets:  opts.Packets,
 		Report: metrics.FromResult(sim.Result{
 			Config:   cfg,
-			Duration: lastEnd,
-			Counters: c,
+			Duration: prevEnd,
+			Counters: *c,
 		}),
 		Net: net,
 	}, nil

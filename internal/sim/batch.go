@@ -4,21 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"wsnlink/internal/channel"
-	"wsnlink/internal/frame"
 	"wsnlink/internal/mac"
 	"wsnlink/internal/obs"
 	"wsnlink/internal/phy"
 	"wsnlink/internal/stack"
-	"wsnlink/internal/units"
 )
 
-// EngineKind selects which simulator services a run. The zero value is the
-// Monte-Carlo fast path: it is the campaign default, and the event-driven
-// simulator remains available for per-packet timing fidelity.
+// EngineKind selects how a link run charges the CSMA-CA backoff. Both
+// engines drive the same Sender step through the same single-server-queue
+// recurrence. The zero value, the Monte-Carlo fast path, is the campaign
+// default; EngineDES keeps per-packet timing fidelity.
 type EngineKind int
 
 const (
@@ -26,7 +24,8 @@ const (
 	// recurrence, mean backoff): statistically equivalent loss behaviour
 	// at campaign throughput. The default.
 	EngineFast EngineKind = iota
-	// EngineDES is the full event-driven simulator with sampled backoffs.
+	// EngineDES is the recurrence with the backoff sampled per attempt
+	// (the discrete-event timeline of the TinyOS stack).
 	EngineDES
 )
 
@@ -46,10 +45,7 @@ func (e EngineKind) String() string {
 // engine opts.Engine selects (default EngineFast), honoring ctx between
 // packets. Use RunContext/RunFastContext to address an engine explicitly.
 func Simulate(ctx context.Context, cfg stack.Config, opts Options) (Result, error) {
-	if opts.Engine == EngineDES {
-		return RunContext(ctx, cfg, opts)
-	}
-	return RunFastContext(ctx, cfg, opts)
+	return runLane(ctx, cfg, opts, opts.Engine)
 }
 
 // DeriveSeed returns the deterministic per-configuration seed a campaign
@@ -104,90 +100,21 @@ type BatchOptions struct {
 type BatchArena struct {
 	lanes   []*lane
 	results []Result
-	tables  kernelTables
 }
 
 // NewBatchArena returns an empty arena; it grows on first use.
 func NewBatchArena() *BatchArena { return &BatchArena{} }
 
-// kernelTables caches per-payload and per-power-level derived constants —
-// the service-time and energy lookup tables the kernel reads instead of
-// recomputing MAC timing sums and PA-table interpolations per
-// configuration. Entries are pure functions of phy/mac constants, so the
-// tables never invalidate.
-type kernelTables struct {
-	payload [frame.MaxPayloadBytes + 1]struct {
-		ok        bool
-		spiLoad   float64 // mac.SPILoadTime(payload)
-		frameTime float64 // mac.FrameAirTime(payload)
-		frameBits int     // 8 * frame.OnAirBytes(payload)
-	}
-	power [32]struct {
-		ok           bool
-		txDBm        float64 // PowerLevel.DBm()
-		energyPerBit float64 // PowerLevel.TxEnergyPerBitMicroJ()
-	}
-}
-
-func (t *kernelTables) payloadEntry(payloadBytes int) (spiLoad, frameTime float64, frameBits int) {
-	e := &t.payload[payloadBytes]
-	if !e.ok {
-		e.spiLoad = mac.SPILoadTime(payloadBytes)
-		e.frameTime = mac.FrameAirTime(payloadBytes)
-		e.frameBits = 8 * frame.OnAirBytes(payloadBytes)
-		e.ok = true
-	}
-	return e.spiLoad, e.frameTime, e.frameBits
-}
-
-func (t *kernelTables) powerEntry(p phy.PowerLevel) (txDBm, energyPerBit float64) {
-	e := &t.power[p]
-	if !e.ok {
-		e.txDBm = p.DBm()
-		e.energyPerBit = p.TxEnergyPerBitMicroJ()
-		e.ok = true
-	}
-	return e.txDBm, e.energyPerBit
-}
-
-// lane is the per-configuration slot of a BatchArena: one RNG, one channel
-// link and the kernel's scratch state, all reused across configurations so
-// the steady state allocates nothing. Long-lived resources (the PCG source,
-// the Rand wrapper, the Link) are built once per slot; reset reseeds and
-// re-derives everything else in place.
+// lane is the per-configuration slot of a BatchArena: one Sender (RNG,
+// channel link, counters) and the queue's scratch state, all reused across
+// configurations so the steady state allocates nothing. Long-lived
+// resources (the PCG source, the Rand wrapper, the Link) are built once per
+// slot; reset reseeds and re-derives everything else in place.
 type lane struct {
-	src  rand.PCG
-	rng  *rand.Rand
-	link channel.Link
+	Sender
 
-	cfg       stack.Config
 	packets   int
-	errModel  phy.ErrorModel
 	saturated bool
-
-	// Per-configuration derived constants (from the kernel tables).
-	txDBm        float64
-	energyPerBit float64
-	frameBits    int
-	frameEnergy  float64 // frameBits × energyPerBit
-	spiLoad      float64
-	frameTime    float64
-	meanMAC      float64 // mac.MeanMACDelay()
-	retryStep    float64 // RetryDelay + mac.RetrySoftwareOverhead
-
-	// Fused Calibrated error-model fast path: when the model is the
-	// stock phy.Calibrated, DataPER and AckPER share one exp(Beta·SNR)
-	// evaluation and the ACK power is an integer exponent, computed by
-	// squaring. A fuzz test pins the fused path to the interface path.
-	cal      bool
-	alphaPay float64 // Alpha × payload bytes
-	ackCoef  float64 // Alpha / 8
-	beta     float64
-	floorSNR float64
-	ackBits  int // 8 × AckBytes
-
-	channelAt float64
-	counters  Counters
 	lastEnd   float64
 	rec       PacketRecord
 
@@ -209,89 +136,41 @@ func (a *BatchArena) lane(i int) *lane {
 	return a.lanes[i]
 }
 
-// reset re-arms the lane for one configuration. The RNG is reseeded exactly
-// as a fresh simulator seeds it, and the link is rebuilt in place with the
-// same construction-time draws, so a reused lane is byte-identical to a
-// fresh per-config run.
-func (l *lane) reset(tables *kernelTables, cfg stack.Config, seed uint64, packets int,
+// reset re-arms the lane for one configuration on the given engine.
+func (l *lane) reset(cfg stack.Config, seed uint64, engine EngineKind, packets int,
 	params *channel.Params, em phy.ErrorModel, recordPackets bool,
 	ob *obs.Metrics, tr *obs.SpanContext) error {
-	l.src.Seed(seed, seed^0x9e3779b97f4a7c15)
-	if err := l.link.Reset(*params, cfg.DistanceM, l.rng); err != nil {
-		return fmt.Errorf("sim: channel: %w", err)
+	if err := l.Sender.reset(cfg, seed, params, em, engine == EngineDES); err != nil {
+		return err
 	}
-	l.cfg = cfg
+	l.obs = ob
+	l.trace = tr
 	l.packets = packets
-	l.errModel = em
 	l.saturated = cfg.Saturated()
-	l.txDBm, l.energyPerBit = tables.powerEntry(cfg.TxPower)
-	l.spiLoad, l.frameTime, l.frameBits = tables.payloadEntry(cfg.PayloadBytes)
-	l.frameEnergy = float64(l.frameBits) * l.energyPerBit
-	l.meanMAC = mac.MeanMACDelay()
-	l.retryStep = cfg.RetryDelay + mac.RetrySoftwareOverhead
-
-	if cm, ok := em.(phy.Calibrated); ok {
-		l.cal = true
-		l.alphaPay = cm.Alpha * float64(cfg.PayloadBytes)
-		l.ackCoef = cm.Alpha / 8
-		l.beta = cm.Beta
-		l.floorSNR = cm.FloorSNR
-		ackBytes := cm.AckBytes
-		if ackBytes <= 0 {
-			ackBytes = 11
-		}
-		l.ackBits = 8 * ackBytes
-	} else {
-		l.cal = false
-	}
-
-	l.channelAt = 0
-	l.counters = Counters{}
 	l.lastEnd = 0
 	l.departures = l.departures[:0]
 	l.records = nil
 	l.recordPackets = recordPackets
-	l.obs = ob
-	l.trace = tr
 	return nil
 }
 
-func (l *lane) advanceChannel(t float64) {
-	if t > l.channelAt {
-		l.link.Advance(t - l.channelAt)
-		l.channelAt = t
-	}
-}
-
-// powInt returns x^n for n ≥ 0 by binary exponentiation. For the ACK-frame
-// success power (1−p_b)^bits this agrees with math.Pow to within a few ulp,
-// far below the resolution a Float64 comparison against the probability can
-// observe.
-func powInt(x float64, n int) float64 {
-	r := 1.0
-	for n > 0 {
-		if n&1 == 1 {
-			r *= x
-		}
-		x *= x
-		n >>= 1
-	}
-	return r
-}
-
-// run executes the fast-path recurrence for the lane's configuration. It is
-// the kernel both RunFastContext (one lane) and RunBatch (many lanes)
-// drive; see RunFast for the model it implements.
+// run executes the single-server-queue recurrence for the lane's
+// configuration. It is the kernel every link entry point drives (RunBatch
+// over many lanes, RunContext and RunFastContext over one); see RunFast
+// for the model it implements.
 func (l *lane) run(ctx context.Context) (Result, error) {
-	// departures holds service-end times of accepted, not-yet-finished
-	// packets (in service + waiting), oldest first.
+	// departures holds the service-end times of accepted packets in
+	// acceptance order. They increase strictly, so the packets finished by
+	// an arrival are a prefix: departures[head:] is the packet in service
+	// plus the waiting ones.
 	departures := l.departures
+	head := 0
 	serverFreeAt := 0.0
 
 	for i := 0; i < l.packets; i++ {
 		if err := ctx.Err(); err != nil {
 			l.departures = departures
-			return Result{}, fmt.Errorf("sim: fast run canceled before packet %d of %d: %w",
+			return Result{}, fmt.Errorf("sim: run canceled before packet %d of %d: %w",
 				i, l.packets, err)
 		}
 		arrival := float64(i) * l.cfg.PktInterval
@@ -299,18 +178,21 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 			arrival = serverFreeAt
 		}
 		// Retire departures that completed by this arrival.
-		live := 0
-		for _, d := range departures {
-			if d > arrival {
-				departures[live] = d
-				live++
-			}
+		for head < len(departures) && departures[head] <= arrival {
+			head++
 		}
-		departures = departures[:live]
+		if head == len(departures) {
+			departures, head = departures[:0], 0
+		}
 
 		rec := &l.rec
 		*rec = PacketRecord{ID: i, GenTime: arrival}
-		l.counters.Generated++
+		inSystem := len(departures) - head
+		waiting := inSystem
+		if waiting > 0 {
+			waiting-- // oldest one is in service, not waiting
+		}
+		l.Arrive(rec, waiting)
 		if l.obs != nil {
 			l.obs.StageAddSim(obs.StageGenerator, 0)
 		}
@@ -318,21 +200,8 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 			l.trace.Emit(obs.EvEnqueue, arrival, rec.ID, 0, 0, 0, 0)
 		}
 
-		waiting := len(departures)
-		if waiting > 0 {
-			waiting-- // oldest one is in service, not waiting
-		}
-		rec.QueueLen = waiting
-		l.counters.SumQueueOccupancy += float64(waiting)
-		l.counters.ArrivalsSeen++
-		if waiting > l.counters.MaxQueueOccupancy {
-			l.counters.MaxQueueOccupancy = waiting
-		}
-
-		if len(departures) > 0 && waiting >= l.cfg.QueueCap {
-			rec.QueueDrop = true
-			rec.ServiceEnd = arrival
-			l.counters.QueueDrops++
+		if inSystem > 0 && waiting >= l.cfg.QueueCap {
+			l.Drop(rec, arrival)
 			if l.trace != nil {
 				l.trace.Emit(obs.EvQueueDrop, arrival, rec.ID, 0, 0, 0, 0)
 			}
@@ -344,7 +213,7 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 		if serverFreeAt > start {
 			start = serverFreeAt
 		}
-		end := l.servePacket(rec, start)
+		end := l.serve(rec, start)
 		serverFreeAt = end
 		departures = append(departures, end)
 		l.finish(rec)
@@ -352,117 +221,50 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 	l.departures = departures
 
 	if l.obs != nil {
-		l.obs.AddPackets(int64(l.counters.Generated))
+		l.obs.AddPackets(int64(l.Counters.Generated))
 	}
 	res := Result{
 		Config:   l.cfg,
 		Duration: l.lastEnd,
-		Counters: l.counters,
+		Counters: l.Counters,
 		Records:  l.records,
 	}
 	l.records = nil // ownership moves to the caller
 	return res, nil
 }
 
-// servePacket mirrors LinkSim.startService with the mean backoff.
-func (l *lane) servePacket(rec *PacketRecord, start float64) float64 {
-	rec.ServiceStart = start
-	t := start + l.spiLoad
-
+// serve walks one packet through the attempt sequence from start and
+// returns its service-end time, emitting the lifecycle events and stage
+// times the step itself does not.
+func (l *lane) serve(rec *PacketRecord, start float64) float64 {
+	t := l.Begin(rec, start)
 	for try := 1; try <= l.cfg.MaxTries; try++ {
-		if try > 1 {
-			t += l.retryStep
-		}
+		t = l.Retry(try, t)
 		if l.trace != nil {
 			l.trace.Emit(obs.EvBackoff, t, rec.ID, try, 0, 0, 0)
 		}
-		t += l.meanMAC
+		t = l.Backoff(t)
+		_, snr := l.Sample(rec, try, t)
 		if l.trace != nil {
 			l.trace.Emit(obs.EvCCA, t, rec.ID, try, 0, 0, 0)
-		}
-
-		l.advanceChannel(t)
-		var snr float64
-		if try == 1 {
-			// First attempt: record a coherent (RSSI, SNR) reading,
-			// computing the deterministic RSSI component once.
-			var rssi float64
-			rssi, snr = l.link.Sample(l.txDBm)
-			rec.SNR = snr
-			rec.RSSI = channel.Quantize(rssi)
-			rec.LQI = phy.LQI(snr)
-			l.counters.SumSNR += snr
-			l.counters.SumSNRSq += snr * snr
-			l.counters.SumRSSI += rssi
-			l.counters.SumRSSISq += rssi * rssi
-			l.counters.SNRSamples++
-		} else {
-			snr = l.link.SNR(l.txDBm)
-		}
-		if l.trace != nil {
 			l.trace.Emit(obs.EvTxAttempt, t, rec.ID, try, snr, rec.RSSI, rec.LQI)
 		}
-
-		t += l.frameTime
-		rec.Tries = try
-		l.counters.TotalTransmissions++
-		l.counters.TotalTxBits += int64(l.frameBits)
-		l.counters.TxEnergyMicroJ += l.frameEnergy
-
-		// Loss draws. On the fused Calibrated path DataPER and AckPER
-		// share one exp(Beta·SNR); the expressions otherwise reproduce
-		// phy.Calibrated exactly (same factors, same clamps).
-		var dataPER, e float64
-		if l.cal {
-			if snr <= l.floorSNR {
-				dataPER = 1
-			} else {
-				e = math.Exp(l.beta * snr)
-				dataPER = units.Clamp(l.alphaPay*e, 0, 1)
-			}
-		} else {
-			dataPER = l.errModel.DataPER(snr, l.cfg.PayloadBytes)
-		}
-		dataOK := l.rng.Float64() >= dataPER
-		if dataOK {
-			if l.trace != nil {
+		t = l.Transmit(rec, try, t)
+		out, end := l.Receive(rec, try, snr, t)
+		if l.trace != nil {
+			if out != Lost {
 				l.trace.Emit(obs.EvRxDecode, t, rec.ID, try, 0, 0, 0)
 			}
-			if rec.Delivered {
-				l.counters.Duplicates++
-			} else {
-				rec.Delivered = true
-				l.counters.Delivered++
-			}
-			var ackPER float64
-			if l.cal {
-				// dataOK implies dataPER < 1, hence snr > floor
-				// and e is valid.
-				pb := units.Clamp(l.ackCoef*e, 0, 0.5)
-				ackPER = 1 - powInt(1-pb, l.ackBits)
-			} else {
-				ackPER = l.errModel.AckPER(snr)
-			}
-			if l.rng.Float64() >= ackPER {
-				t += mac.AckTime
-				l.counters.ListenTimeS += mac.AckTime
-				rec.Acked = true
-				l.counters.Acked++
-				l.counters.AckedTransmissions++
-				l.counters.SumTriesAcked += float64(try)
-				break
+			if out != Acked {
+				l.trace.Emit(obs.EvAckTimeout, end, rec.ID, try, 0, 0, 0)
 			}
 		}
-		t += mac.AckWaitTimeout
-		l.counters.ListenTimeS += mac.AckWaitTimeout
-		if l.trace != nil {
-			l.trace.Emit(obs.EvAckTimeout, t, rec.ID, try, 0, 0, 0)
+		t = end
+		if out == Acked {
+			break
 		}
 	}
-
-	if !rec.Delivered {
-		l.counters.RadioDrops++
-	}
+	l.Complete(rec, t)
 	if l.trace != nil {
 		kind := obs.EvLost
 		if rec.Delivered {
@@ -473,14 +275,28 @@ func (l *lane) servePacket(rec *PacketRecord, start float64) float64 {
 	if l.obs != nil {
 		recordPacketStages(l.obs, rec, t, l.frameTime)
 	}
-	rec.ServiceEnd = t
-	l.counters.SumServiceTime += t - start
-	l.counters.Serviced++
-	if rec.Delivered {
-		l.counters.SumDelay += t - rec.GenTime
-		l.counters.DeliveredWithDelay++
-	}
 	return t
+}
+
+// recordPacketStages splits one serviced packet's simulated timeline into
+// the pipeline stages: queue wait, on-air frame time (channel), receive
+// listening (ACK + ACK-wait), and the CSMA-CA remainder (SPI load,
+// backoffs, turnaround, retry delays) as MAC. end is the service-end time,
+// frameTime one frame's air time. Callers guard m != nil so the disabled
+// path costs nothing.
+func recordPacketStages(m *obs.Metrics, rec *PacketRecord, end, frameTime float64) {
+	total := end - rec.ServiceStart
+	air := float64(rec.Tries) * frameTime
+	var rx float64
+	if rec.Acked {
+		rx = mac.AckTime + float64(rec.Tries-1)*mac.AckWaitTimeout
+	} else {
+		rx = float64(rec.Tries) * mac.AckWaitTimeout
+	}
+	m.StageAddSim(obs.StageQueue, rec.ServiceStart-rec.GenTime)
+	m.StageAddSim(obs.StageChannel, air)
+	m.StageAddSim(obs.StageRX, rx)
+	m.StageAddSim(obs.StageMAC, total-air-rx)
 }
 
 func (l *lane) finish(rec *PacketRecord) {
@@ -564,7 +380,7 @@ func RunBatch(ctx context.Context, cfgs []stack.Config, opts BatchOptions) (resu
 			tr = opts.TraceFor(i)
 		}
 		l := a.lane(i)
-		if rerr := l.reset(&a.tables, cfg, seed, opts.Packets,
+		if rerr := l.reset(cfg, seed, EngineFast, opts.Packets,
 			opts.Channel, opts.ErrorModel, opts.RecordPackets, opts.Obs, tr); rerr != nil {
 			fail(i, rerr)
 			continue

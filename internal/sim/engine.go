@@ -1,8 +1,12 @@
-// Package sim contains the discrete-event simulator that stands in for the
-// paper's TelosB testbed: a deterministic event engine, the sender/receiver
-// link simulation (generator → queue → CSMA-CA MAC → channel → receiver)
-// producing the same per-packet metadata the motes logged, and a faster
-// Monte-Carlo path used for campaign-scale sweeps.
+// Package sim contains the link simulator that stands in for the paper's
+// TelosB testbed: the per-sender attempt step (Sender: CSMA-CA backoff,
+// channel sample, transmit, data/ACK loss, completion), the single-server
+// queue recurrence that drives it for one link (generator → queue → MAC →
+// channel → receiver) on both engines — EngineDES samples every backoff,
+// EngineFast charges its mean — producing the same per-packet metadata the
+// motes logged, the batch kernel that runs that recurrence over many
+// configurations, and a deterministic event engine for the multi-sender
+// topologies built on the same step.
 package sim
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 // CheckInvariants verifies the conservation laws every run must satisfy,
-// independent of channel, seed, or simulator path (event-driven or fast).
+// independent of channel, seed, or engine (DES or fast).
 // The validation harness applies it to every oracle run; tests can apply it
 // to any Result. A violation means a counting bug in the simulator, not a
 // statistical fluke — every relation below is exact.

@@ -93,7 +93,7 @@ type RunOptions struct {
 	Workers int
 	// Engine selects the simulator: the Monte-Carlo fast path
 	// (sim.EngineFast, the zero value — the campaign default) or the
-	// full event-driven simulator (sim.EngineDES).
+	// sampled-backoff engine (sim.EngineDES).
 	Engine sim.EngineKind
 	// BatchSize is how many configurations a worker pulls per batch-
 	// kernel call on the fast engine (default 64; 1 disables blocking;
@@ -193,7 +193,7 @@ func (o RunOptions) withDefaults() (RunOptions, error) {
 		o.BatchSize = DefaultBatchSize
 	}
 	if o.Engine == sim.EngineDES {
-		o.BatchSize = 1 // the event-driven engine has no batch kernel
+		o.BatchSize = 1 // RunBatch has no engine field: DES runs per configuration
 	}
 	if o.TraceSample < 0 {
 		return o, fmt.Errorf("sweep: TraceSample must be >= 0, got %d", o.TraceSample)
@@ -270,23 +270,15 @@ func collectInto(dst *[]Row) func(Row) error {
 // namespace when this configuration is sampled for tracing.
 func runOne(ctx context.Context, cfg stack.Config, idx int, opts RunOptions, fingerprint uint64) (Row, error) {
 	seed := opts.seedFor(idx)
-	simOpts := sim.Options{
+	res, err := sim.Simulate(ctx, cfg, sim.Options{
 		Packets:    opts.Packets,
 		Seed:       seed,
+		Engine:     opts.Engine,
 		Channel:    opts.Channel,
 		ErrorModel: opts.ErrorModel,
 		Obs:        opts.Metrics,
 		Trace:      opts.traceSpan(fingerprint, idx),
-	}
-	var (
-		res sim.Result
-		err error
-	)
-	if opts.Engine == sim.EngineDES {
-		res, err = sim.RunContext(ctx, cfg, simOpts)
-	} else {
-		res, err = sim.RunFastContext(ctx, cfg, simOpts)
-	}
+	})
 	if err != nil {
 		return Row{}, err
 	}

@@ -72,13 +72,10 @@ func runOracles(ctx context.Context, opts Options) ([]Check, error) {
 				ErrorModel: m.model,
 				Channel:    &params,
 			}
-			var res sim.Result
-			var err error
 			if opts.FullDES {
-				res, err = sim.RunContext(ctx, cfg, simOpts)
-			} else {
-				res, err = sim.RunFastContext(ctx, cfg, simOpts)
+				simOpts.Engine = sim.EngineDES
 			}
+			res, err := sim.Simulate(ctx, cfg, simOpts)
 			if err != nil {
 				return nil, fmt.Errorf("config %d (%v): %w", ci, cfg, err)
 			}

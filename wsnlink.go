@@ -80,8 +80,9 @@ const (
 	// loss statistics, backoff jitter averaged out, orders of magnitude
 	// faster. Campaign-scale work should use it.
 	EngineFast = sim.EngineFast
-	// EngineDES is the full event-driven simulator: every backoff is
-	// sampled, every event is played through the event heap.
+	// EngineDES runs the same single-server-queue recurrence with the
+	// CSMA-CA backoff sampled per attempt, so every packet's timeline
+	// carries the stack's timing jitter.
 	EngineDES = sim.EngineDES
 )
 
