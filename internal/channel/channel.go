@@ -253,7 +253,7 @@ func (l *Link) RSSI(txDBm float64) float64 {
 
 // NoiseFloorDBm draws one noise-floor sample from the mixture distribution.
 func (l *Link) NoiseFloorDBm() float64 {
-	p := l.params
+	p := &l.params
 	if l.rng.Float64() < p.InterferenceProb {
 		bump := p.InterferenceMeanDB + p.InterferenceSigmaDB*l.rng.NormFloat64()
 		return p.NoiseFloorMeanDBm + math.Max(0, bump)

@@ -159,12 +159,9 @@ func (l *lane) reset(cfg stack.Config, seed uint64, engine EngineKind, packets i
 // over many lanes, RunContext and RunFastContext over one); see RunFast
 // for the model it implements.
 func (l *lane) run(ctx context.Context) (Result, error) {
-	// departures holds the service-end times of accepted packets in
-	// acceptance order. They increase strictly, so the packets finished by
-	// an arrival are a prefix: departures[head:] is the packet in service
-	// plus the waiting ones.
+	// departures holds service-end times of accepted, not-yet-finished
+	// packets (in service + waiting), oldest first.
 	departures := l.departures
-	head := 0
 	serverFreeAt := 0.0
 
 	for i := 0; i < l.packets; i++ {
@@ -178,17 +175,18 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 			arrival = serverFreeAt
 		}
 		// Retire departures that completed by this arrival.
-		for head < len(departures) && departures[head] <= arrival {
-			head++
+		live := 0
+		for _, d := range departures {
+			if d > arrival {
+				departures[live] = d
+				live++
+			}
 		}
-		if head == len(departures) {
-			departures, head = departures[:0], 0
-		}
+		departures = departures[:live]
 
 		rec := &l.rec
 		*rec = PacketRecord{ID: i, GenTime: arrival}
-		inSystem := len(departures) - head
-		waiting := inSystem
+		waiting := len(departures)
 		if waiting > 0 {
 			waiting-- // oldest one is in service, not waiting
 		}
@@ -200,7 +198,7 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 			l.trace.Emit(obs.EvEnqueue, arrival, rec.ID, 0, 0, 0, 0)
 		}
 
-		if inSystem > 0 && waiting >= l.cfg.QueueCap {
+		if len(departures) > 0 && waiting >= l.cfg.QueueCap {
 			l.Drop(rec, arrival)
 			if l.trace != nil {
 				l.trace.Emit(obs.EvQueueDrop, arrival, rec.ID, 0, 0, 0, 0)

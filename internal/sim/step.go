@@ -69,9 +69,8 @@ const (
 // never reached the receiver's decoder); a packet opens with Arrive and
 // then Begin or Drop, and closes with Complete. The step only counts:
 // telemetry and lifecycle tracing belong to the driver, which keeps the
-// small operations (all but Sample, FirstSample and Receive) within the
-// compiler's inlining budget, so the batch kernel's loop pays a call only
-// for sampling and reception. A Sender is not safe for concurrent use.
+// per-packet bookkeeping operations small enough to inline into the batch
+// kernel's loop. A Sender is not safe for concurrent use.
 type Sender struct {
 	src  rand.PCG
 	rng  *rand.Rand
@@ -211,15 +210,9 @@ func (s *Sender) Retry(try int, t float64) float64 {
 // mean on the fast engine.
 func (s *Sender) Backoff(t float64) float64 {
 	if s.sampledBackoff {
-		return s.sampleBackoff(t)
+		return t + (mac.TurnaroundTime + mac.SampleBackoff(s.rng))
 	}
 	return t + s.meanMAC
-}
-
-// sampleBackoff is Backoff's sampled branch, kept out of line so Backoff
-// itself inlines into the fast engine's loop.
-func (s *Sender) sampleBackoff(t float64) float64 {
-	return t + (mac.TurnaroundTime + mac.SampleBackoff(s.rng))
 }
 
 // Sample advances the sender's channel link to time t and draws the
