@@ -68,9 +68,9 @@ const (
 // foreign channel), Transmit, then Receive (or AckTimeout when the frame
 // never reached the receiver's decoder); a packet opens with Arrive and
 // then Begin or Drop, and closes with Complete. The step only counts:
-// telemetry and lifecycle tracing belong to the driver, which keeps the
-// per-packet bookkeeping operations small enough to inline into the batch
-// kernel's loop. A Sender is not safe for concurrent use.
+// telemetry and lifecycle tracing belong to the simulator that walks the
+// operations, which keeps the per-packet bookkeeping small enough to inline
+// into the batch kernel's loop. A Sender is not safe for concurrent use.
 type Sender struct {
 	src  rand.PCG
 	rng  *rand.Rand
