@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wsnlink/internal/obs"
 	"wsnlink/internal/phy"
 	"wsnlink/internal/stack"
 )
@@ -206,6 +207,36 @@ func TestRunBatchZeroAlloc(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("RunBatch steady state allocates %v times per call, want 0", got)
+	}
+}
+
+// TestRunBatchObsZeroAlloc: with telemetry enabled (Obs set, as every
+// daemon job runs) the warmed kernel still allocates nothing — stage
+// accounting is preallocated state, not per-packet garbage.
+func TestRunBatchObsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pin runs in regular builds")
+	}
+	cfgs := batchTestConfigs()
+	seeds := make([]uint64, len(cfgs))
+	for i := range seeds {
+		seeds[i] = DeriveSeed(3, i)
+	}
+	m := obs.New()
+	opts := BatchOptions{Packets: 60, Seeds: seeds, Arena: NewBatchArena(), Obs: m}
+	ctx := context.Background()
+	if _, _, err := RunBatch(ctx, cfgs, opts); err != nil { // warm the arena
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		if _, _, err := RunBatch(ctx, cfgs, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("RunBatch with Obs allocates %v times per call, want 0", got)
+	}
+	if m.Snapshot().Stage("generator").Count == 0 {
+		t.Fatal("RunBatch with Obs recorded no generator stage")
 	}
 }
 
