@@ -115,6 +115,7 @@ type starSim struct {
 	lastEnd      float64
 
 	ctx     context.Context // cancellation, checked between generations
+	done    <-chan struct{} // ctx.Done(), polled without taking ctx's lock
 	stopErr error           // first cancellation error observed
 }
 
@@ -156,6 +157,9 @@ func RunStarContext(ctx context.Context, cfgs []stack.Config, opts Options) (Res
 		engine: sim.NewEngine(),
 		opts:   opts,
 		ctx:    ctx,
+	}
+	if ctx != nil {
+		s.done = ctx.Done()
 	}
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
@@ -221,7 +225,7 @@ func (s *starSim) mustAt(t float64, fn func()) {
 
 func (s *starSim) generate(n *node, i int) {
 	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
+		if err := sim.Canceled(s.ctx, s.done); err != nil {
 			// Stop generating; in-flight services drain (bounded
 			// work) and RunStarContext reports the cancellation.
 			if s.stopErr == nil {

@@ -97,13 +97,21 @@ func (m *Metrics) StageAdd(s Stage, d time.Duration) {
 	m.stages[s].ns.Add(int64(d))
 }
 
-// StageAddSim accounts simulated seconds to a simulator-pipeline stage.
-func (m *Metrics) StageAddSim(s Stage, seconds float64) {
+// AddSimStages publishes a simulator's lane-local stage totals and zeroes
+// the accumulator, so the shared atomics are touched once per publish
+// (once per configuration) instead of once per packet.
+func (m *Metrics) AddSimStages(a *SimStages) {
 	if m == nil {
 		return
 	}
-	m.stages[s].count.Add(1)
-	m.stages[s].ns.Add(int64(seconds * float64(time.Second)))
+	for i := range a.count {
+		if a.count[i] == 0 {
+			continue
+		}
+		m.stages[firstSimStage+Stage(i)].count.Add(a.count[i])
+		m.stages[firstSimStage+Stage(i)].ns.Add(a.ns[i])
+	}
+	*a = SimStages{}
 }
 
 // Snapshot captures the current state. It is safe to call concurrently

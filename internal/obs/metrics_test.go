@@ -20,7 +20,9 @@ func TestNilMetricsSafe(t *testing.T) {
 	m.AddPackets(42)
 	m.ObserveWindow(3)
 	m.StageAdd(StageDispatch, time.Millisecond)
-	m.StageAddSim(StageQueue, 0.5)
+	var sim SimStages
+	sim.Add(StageQueue, 0.5)
+	m.AddSimStages(&sim)
 	if got := m.Uptime(); got != 0 {
 		t.Errorf("nil Uptime = %v, want 0", got)
 	}
@@ -85,8 +87,13 @@ func TestStageAccounting(t *testing.T) {
 	m.StageAdd(StageDispatch, 10*time.Millisecond)
 	m.StageAdd(StageDispatch, 30*time.Millisecond)
 	m.StageAdd(StageSimulate, 100*time.Millisecond)
-	m.StageAddSim(StageQueue, 1.5)
-	m.StageAddSim(StageChannel, 0.25)
+	var sim SimStages
+	sim.Add(StageQueue, 1.5)
+	sim.Add(StageChannel, 0.25)
+	m.AddSimStages(&sim)
+	if sim != (SimStages{}) {
+		t.Errorf("AddSimStages left %+v in the accumulator, want it zeroed", sim)
+	}
 
 	s := m.Snapshot()
 	if len(s.Stages) != int(numStages) {

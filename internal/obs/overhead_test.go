@@ -13,12 +13,14 @@ func instrumentationSequence(m *Metrics) {
 	m.StageAdd(StageDispatch, 5*time.Microsecond)
 	m.ObserveConfig(2 * time.Millisecond)
 	m.StageAdd(StageSimulate, 2*time.Millisecond)
-	m.StageAddSim(StageGenerator, 0)
-	m.StageAddSim(StageQueue, 0.004)
-	m.StageAddSim(StageMAC, 0.002)
-	m.StageAddSim(StageChannel, 0.003)
-	m.StageAddSim(StageRX, 0.001)
+	var sim SimStages // a lane's per-packet stage adds, published once
+	sim.Add(StageGenerator, 0)
+	sim.Add(StageQueue, 0.004)
+	sim.Add(StageMAC, 0.002)
+	sim.Add(StageChannel, 0.003)
+	sim.Add(StageRX, 0.001)
 	m.AddPackets(400)
+	m.AddSimStages(&sim)
 	m.ObserveWindow(3)
 	m.StageAdd(StageReorder, time.Microsecond)
 	m.StageAdd(StageYield, 10*time.Microsecond)

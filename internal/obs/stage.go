@@ -64,6 +64,25 @@ func (s Stage) String() string {
 // to simulated seconds).
 func (s Stage) Wall() bool { return s <= StageCheckpoint }
 
+// firstSimStage is the first simulator-pipeline stage; the rest follow it.
+const firstSimStage = StageGenerator
+
+// SimStages is a simulator's private accumulator of the simulator-pipeline
+// stages: plain counters, owned by one goroutine, published to a Metrics
+// with AddSimStages. The zero value is empty and ready to use.
+type SimStages struct {
+	count [numStages - firstSimStage]int64
+	ns    [numStages - firstSimStage]int64
+}
+
+// Add accounts one event of simulated seconds to a simulator-pipeline
+// stage. The seconds are converted to integer nanoseconds per event, so the
+// published totals do not depend on how events are grouped.
+func (a *SimStages) Add(s Stage, seconds float64) {
+	a.count[s-firstSimStage]++
+	a.ns[s-firstSimStage] += int64(seconds * float64(time.Second))
+}
+
 // stageCell accumulates one stage: event count plus total duration in
 // nanoseconds (wall stages) or simulated nanoseconds (simulator stages).
 type stageCell struct {

@@ -123,6 +123,7 @@ type lane struct {
 
 	recordPackets bool
 	obs           *obs.Metrics     // optional telemetry sink (nil = disabled)
+	stages        obs.SimStages    // per-packet stage totals, published to obs per run
 	trace         *obs.SpanContext // optional lifecycle tracer (nil = disabled)
 }
 
@@ -158,15 +159,21 @@ func (l *lane) reset(cfg stack.Config, seed uint64, engine EngineKind, packets i
 // configuration. It is the kernel every link entry point drives (RunBatch
 // over many lanes, RunContext and RunFastContext over one); see RunFast
 // for the model it implements.
+//
+// The per-packet path touches only lane state: stage telemetry collects in
+// l.stages and reaches the shared Metrics once per run, and cancellation is
+// polled through ctx's Done channel rather than its locked Err.
 func (l *lane) run(ctx context.Context) (Result, error) {
 	// departures holds service-end times of accepted, not-yet-finished
 	// packets (in service + waiting), oldest first.
 	departures := l.departures
 	serverFreeAt := 0.0
+	done := ctx.Done()
 
 	for i := 0; i < l.packets; i++ {
-		if err := ctx.Err(); err != nil {
+		if err := Canceled(ctx, done); err != nil {
 			l.departures = departures
+			l.obs.AddSimStages(&l.stages)
 			return Result{}, fmt.Errorf("sim: run canceled before packet %d of %d: %w",
 				i, l.packets, err)
 		}
@@ -192,7 +199,7 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 		}
 		l.Arrive(rec, waiting)
 		if l.obs != nil {
-			l.obs.StageAddSim(obs.StageGenerator, 0)
+			l.stages.Add(obs.StageGenerator, 0)
 		}
 		if l.trace != nil {
 			l.trace.Emit(obs.EvEnqueue, arrival, rec.ID, 0, 0, 0, 0)
@@ -220,6 +227,7 @@ func (l *lane) run(ctx context.Context) (Result, error) {
 
 	if l.obs != nil {
 		l.obs.AddPackets(int64(l.Counters.Generated))
+		l.obs.AddSimStages(&l.stages)
 	}
 	res := Result{
 		Config:   l.cfg,
@@ -271,7 +279,7 @@ func (l *lane) serve(rec *PacketRecord, start float64) float64 {
 		l.trace.Emit(kind, t, rec.ID, rec.Tries, 0, 0, 0)
 	}
 	if l.obs != nil {
-		recordPacketStages(l.obs, rec, t, l.frameTime)
+		recordPacketStages(&l.stages, rec, t, l.frameTime)
 	}
 	return t
 }
@@ -280,9 +288,9 @@ func (l *lane) serve(rec *PacketRecord, start float64) float64 {
 // the pipeline stages: queue wait, on-air frame time (channel), receive
 // listening (ACK + ACK-wait), and the CSMA-CA remainder (SPI load,
 // backoffs, turnaround, retry delays) as MAC. end is the service-end time,
-// frameTime one frame's air time. Callers guard m != nil so the disabled
-// path costs nothing.
-func recordPacketStages(m *obs.Metrics, rec *PacketRecord, end, frameTime float64) {
+// frameTime one frame's air time. Callers skip it when telemetry is off so
+// the disabled path costs nothing.
+func recordPacketStages(a *obs.SimStages, rec *PacketRecord, end, frameTime float64) {
 	total := end - rec.ServiceStart
 	air := float64(rec.Tries) * frameTime
 	var rx float64
@@ -291,10 +299,10 @@ func recordPacketStages(m *obs.Metrics, rec *PacketRecord, end, frameTime float6
 	} else {
 		rx = float64(rec.Tries) * mac.AckWaitTimeout
 	}
-	m.StageAddSim(obs.StageQueue, rec.ServiceStart-rec.GenTime)
-	m.StageAddSim(obs.StageChannel, air)
-	m.StageAddSim(obs.StageRX, rx)
-	m.StageAddSim(obs.StageMAC, total-air-rx)
+	a.Add(obs.StageQueue, rec.ServiceStart-rec.GenTime)
+	a.Add(obs.StageChannel, air)
+	a.Add(obs.StageRX, rx)
+	a.Add(obs.StageMAC, total-air-rx)
 }
 
 func (l *lane) finish(rec *PacketRecord) {
@@ -303,6 +311,21 @@ func (l *lane) finish(rec *PacketRecord) {
 	}
 	if l.recordPackets {
 		l.records = append(l.records, *rec)
+	}
+}
+
+// Canceled reports ctx's error, polling done (ctx.Done(), fetched once by
+// the caller) with a non-blocking receive so a hot loop never takes the
+// context's lock. A context without a Done channel falls back to ctx.Err.
+func Canceled(ctx context.Context, done <-chan struct{}) error {
+	if done == nil {
+		return ctx.Err()
+	}
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+		return nil
 	}
 }
 
@@ -357,8 +380,9 @@ func RunBatch(ctx context.Context, cfgs []stack.Config, opts BatchOptions) (resu
 		results[i] = Result{}
 	}
 
+	done := ctx.Done()
 	for i, cfg := range cfgs {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := Canceled(ctx, done); cerr != nil {
 			fail(i, fmt.Errorf("sim: batch canceled before config %d of %d: %w",
 				i, len(cfgs), cerr))
 			continue
