@@ -254,6 +254,7 @@ func stream[R any](ctx context.Context, cfgs []stack.Config, opts RunOptions, fi
 	next := start
 	var failures []*ConfigError
 	var terminal error
+	done := ctx.Done()
 
 loop:
 	for out := range results {
@@ -294,6 +295,13 @@ loop:
 					break loop
 				}
 			} else {
+				// A cancel (say, from inside an earlier yield) must stop the
+				// stream even when every remaining row is already simulated.
+				if cerr := sim.Canceled(ctx, done); cerr != nil {
+					terminal = fmt.Errorf("sweep: canceled after %d of %d configurations: %w",
+						next, len(cfgs), cerr)
+					break loop
+				}
 				var y0 time.Time
 				if opts.Metrics != nil {
 					y0 = time.Now()
