@@ -97,6 +97,12 @@ type Server struct {
 
 	submitted, completed, failed, canceled atomic.Int64
 	cacheHits, cacheMisses                 atomic.Int64
+
+	// beforeSpoolRow, if set, runs in the spool's write hook before the
+	// campaign's row (0-based, counting any resumed prefix) is written,
+	// with the job's context. It is a test seam that pins an interruption
+	// to an exact row; production servers leave it nil.
+	beforeSpoolRow func(ctx context.Context, row int)
 }
 
 // Open loads (or initializes) the data directory and starts the scheduler.
@@ -536,7 +542,7 @@ type campaign struct {
 func executeRows[R any](ctx context.Context, s *Server, c *campaign, codec *sweep.Codec[R],
 	fromWire func(StreamedRow) R, stream func(context.Context, sweep.RunOptions, func(R) error) error) error {
 	if s.opts.Executor != nil {
-		return spoolCampaign(s, c, codec, len(c.cfgs), func(resume bool, prefix []R, write func(R) error) error {
+		return spoolCampaign(ctx, s, c, codec, len(c.cfgs), func(resume bool, prefix []R, write func(R) error) error {
 			return s.executeRemote(ctx, c, resume, len(prefix), func(r StreamedRow) error {
 				return write(fromWire(r))
 			})
@@ -550,7 +556,7 @@ func executeRows[R any](ctx context.Context, s *Server, c *campaign, codec *swee
 	if c.spec.TraceSample > 0 {
 		opts.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
-	return spoolCampaign(s, c, codec, len(c.cfgs), func(resume bool, _ []R, write func(R) error) error {
+	return spoolCampaign(ctx, s, c, codec, len(c.cfgs), func(resume bool, _ []R, write func(R) error) error {
 		opts.Resume = resume
 		err := stream(ctx, opts, write)
 		if opts.Tracer != nil {
@@ -575,7 +581,7 @@ func executeRows[R any](ctx context.Context, s *Server, c *campaign, codec *swee
 // before they checkpoint the row, so the spool CSV is always at least as
 // long as the sidecar claims. A completed dataset is promoted into the
 // cache.
-func spoolCampaign[R any](s *Server, c *campaign, codec *sweep.Codec[R], configs int,
+func spoolCampaign[R any](ctx context.Context, s *Server, c *campaign, codec *sweep.Codec[R], configs int,
 	run func(resume bool, prefix []R, write func(R) error) error) error {
 	f, enc, resume, prefix, err := prepareSpool(s.store, codec, c.fp, c.fingerprint, configs)
 	if err != nil {
@@ -587,7 +593,12 @@ func spoolCampaign[R any](s *Server, c *campaign, codec *sweep.Codec[R], configs
 	s.mu.Unlock()
 	c.e.notify.Broadcast()
 
+	row := len(prefix)
 	runErr := run(resume, prefix, func(r R) error {
+		if s.beforeSpoolRow != nil {
+			s.beforeSpoolRow(ctx, row)
+		}
+		row++
 		if err := enc.Encode(r); err != nil {
 			return err
 		}
@@ -736,7 +747,7 @@ func (s *Server) executeAdaptive(ctx context.Context, c *campaign, sp stack.Spac
 			"stable", rd.Stable)
 	}
 	budget := c.spec.Adaptive.Budget // normalize guarantees the block
-	return spoolCampaign(s, c, sweep.LinkCodec, budget, func(resume bool, prefix []sweep.Row, write func(sweep.Row) error) error {
+	return spoolCampaign(ctx, s, c, sweep.LinkCodec, budget, func(resume bool, prefix []sweep.Row, write func(sweep.Row) error) error {
 		aopts.Resume, aopts.ResumeRows = resume, prefix
 		res, err := adaptive.Stream(ctx, sp, aopts, func(r sweep.Row) error {
 			if err := write(r); err != nil {

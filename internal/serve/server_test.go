@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,6 +92,35 @@ func waitFor(t *testing.T, msg string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", msg)
+}
+
+// pauseAtRow arms s to hold its campaign's spool writer just before row k
+// until the job's context is canceled, and returns a wait that blocks until
+// the writer is held there. Interruption tests cancel or drain while it is
+// held, so the interruption lands at an exact mid-campaign row instead of
+// racing the simulator; the cancel itself releases the writer. Only the
+// first arrival at row k is held. Arm it before the first Submit.
+func pauseAtRow(t *testing.T, s *Server, k int) (wait func()) {
+	reached := make(chan struct{})
+	var once sync.Once
+	s.beforeSpoolRow = func(ctx context.Context, row int) {
+		if row != k {
+			return
+		}
+		held := false
+		once.Do(func() { held = true; close(reached) })
+		if held {
+			<-ctx.Done()
+		}
+	}
+	return func() {
+		t.Helper()
+		select {
+		case <-reached:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("timed out waiting for the spool writer to reach row %d", k)
+		}
+	}
 }
 
 func mustStatus(t *testing.T, s *Server, id string) JobStatus {
@@ -249,11 +279,12 @@ func TestDuplicateInFlightIsSingleFlight(t *testing.T) {
 func TestCancelRunningKeepsCheckpointAndResumes(t *testing.T) {
 	s := openServer(t, t.TempDir(), Options{})
 	spec := slowSpec()
+	atRow2 := pauseAtRow(t, s, 2)
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitFor(t, "progress before cancel", func() bool { return mustStatus(t, s, st.ID).Done >= 2 })
+	atRow2()
 	if _, err := s.Cancel(st.ID); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}
@@ -305,14 +336,12 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	atRow2 := pauseAtRow(t, s1, 2)
 	st, err := s1.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitFor(t, "progress before drain", func() bool {
-		got, err := s1.Status(st.ID)
-		return err == nil && got.Done >= 2
-	})
+	atRow2()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := s1.Drain(ctx); err != nil {
