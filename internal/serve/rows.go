@@ -162,8 +162,9 @@ func openResult(store *Store, fp string) (file, error) {
 // A partial trailing line is carried over until its newline arrives;
 // *os.File keeps returning fresh data on reads past a previous EOF.
 type lineTailer struct {
-	f   file
-	buf []byte
+	f     file
+	buf   []byte
+	chunk []byte // read buffer, allocated on the first read and reused
 }
 
 // next returns the next complete line (without its newline); ok is false
@@ -175,10 +176,12 @@ func (t *lineTailer) next() (string, bool, error) {
 			t.buf = t.buf[i+1:]
 			return line, true, nil
 		}
-		var chunk [32 * 1024]byte
-		n, err := t.f.Read(chunk[:])
+		if t.chunk == nil {
+			t.chunk = make([]byte, 32*1024)
+		}
+		n, err := t.f.Read(t.chunk)
 		if n > 0 {
-			t.buf = append(t.buf, chunk[:n]...)
+			t.buf = append(t.buf, t.chunk[:n]...)
 			continue
 		}
 		if err == nil || err == io.EOF {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,5 +124,44 @@ func TestLiveStreamDeliversEachRowBeforeTheNext(t *testing.T) {
 	}
 	if rows != st.Configs {
 		t.Fatalf("streamed %d rows, want %d", rows, st.Configs)
+	}
+}
+
+// TestLineTailerReusesReadBuffer: a tailer keeps one read buffer, so the
+// EOF read that ends every drain pass allocates nothing.
+func TestLineTailerReusesReadBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pin runs in regular builds")
+	}
+	path := filepath.Join(t.TempDir(), "rows.csv")
+	if err := os.WriteFile(path, []byte("a,b\n1,2\n3,4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tl := lineTailer{f: f}
+	var lines []string
+	for {
+		line, ok, err := tl.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		lines = append(lines, line)
+	}
+	if fmt.Sprint(lines) != "[a,b 1,2 3,4]" {
+		t.Fatalf("lines = %q", lines)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, ok, err := tl.next(); ok || err != nil {
+			t.Fatalf("read past EOF: ok=%v err=%v", ok, err)
+		}
+	}); got != 0 {
+		t.Fatalf("EOF read allocates %v times, want 0", got)
 	}
 }
