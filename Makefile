@@ -97,11 +97,12 @@ bench-check:
 		| /tmp/benchjson -baseline BENCH_2.json > /dev/null
 
 # Kernel benchmarks for a same-host before/after comparison: the batch
-# kernel, the pooled fast path and the DES engine, ten samples each with
-# allocation counts. Run it in both checkouts, interleaved, and compare
-# medians against the spread of the baseline's samples.
+# kernel, the pooled fast path, the DES engine and the sweep engine in the
+# daemon's shape (telemetry on and off), ten samples each with allocation
+# counts. Run it in both checkouts, interleaved, and compare medians
+# against the spread of the baseline's samples.
 bench-kernel:
-	$(GO) test -run '^$$' -bench '^(BenchmarkRunBatch|BenchmarkRunFast|BenchmarkSimDES)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkRunBatch|BenchmarkRunFast|BenchmarkSimDES|BenchmarkStreamServed)$$' \
 		-count=10 -benchmem .
 
 # Service benchmark knobs, shared by the baseline and the gate so both

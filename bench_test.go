@@ -16,13 +16,16 @@ package wsnlink_test
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"wsnlink"
 	"wsnlink/internal/experiments"
 	"wsnlink/internal/models"
 	"wsnlink/internal/netsim"
+	"wsnlink/internal/obs"
 	"wsnlink/internal/optimize"
 	"wsnlink/internal/sim"
 	"wsnlink/internal/stack"
@@ -168,6 +171,41 @@ func BenchmarkRunBatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
+}
+
+// BenchmarkStreamServed runs the sweep engine the way a wsnlinkd job does:
+// 1024 configurations sampled from the bulk workload's space (35 m, every
+// other Table I axis), 250 packets under CRN, GOMAXPROCS workers, a fresh
+// obs.Metrics per campaign and a cancelable context. BenchmarkRunBatch runs
+// with neither telemetry nor a cancelable context, so only this benchmark
+// shows a per-packet write to state the workers share; the telemetry=off
+// variant prices what telemetry adds.
+func BenchmarkStreamServed(b *testing.B) {
+	space := stack.DefaultSpace()
+	space.DistancesM = []float64{35}
+	all := space.All()
+	cfgs := make([]stack.Config, 1024)
+	for i := range cfgs {
+		cfgs[i] = all[i*len(all)/len(cfgs)]
+	}
+	for _, telemetry := range []bool{true, false} {
+		b.Run(fmt.Sprintf("telemetry=%v", telemetry), func(b *testing.B) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opts := sweep.RunOptions{Packets: 250, BaseSeed: 1, CRN: true,
+					Workers: runtime.GOMAXPROCS(0)}
+				if telemetry {
+					opts.Metrics = obs.New()
+				}
+				if err := sweep.StreamConfigs(ctx, cfgs, opts, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
+		})
+	}
 }
 
 // BenchmarkSweep16 measures parallel sweep throughput over 16 configurations.
