@@ -105,9 +105,6 @@ func (m *Metrics) AddSimStages(a *SimStages) {
 		return
 	}
 	for i := range a.count {
-		if a.count[i] == 0 {
-			continue
-		}
 		m.stages[firstSimStage+Stage(i)].count.Add(a.count[i])
 		m.stages[firstSimStage+Stage(i)].ns.Add(a.ns[i])
 	}

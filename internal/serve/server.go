@@ -580,7 +580,7 @@ func executeRows[R any](ctx context.Context, s *Server, c *campaign, codec *swee
 // write hook that encodes and flushes each row. Producers call write
 // before they checkpoint the row, so the spool CSV is always at least as
 // long as the sidecar claims. A completed dataset is promoted into the
-// cache.
+// cache. ctx is the job's context; only the beforeSpoolRow seam reads it.
 func spoolCampaign[R any](ctx context.Context, s *Server, c *campaign, codec *sweep.Codec[R], configs int,
 	run func(resume bool, prefix []R, write func(R) error) error) error {
 	f, enc, resume, prefix, err := prepareSpool(s.store, codec, c.fp, c.fingerprint, configs)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -102,16 +101,14 @@ func waitFor(t *testing.T, msg string, cond func() bool) {
 // first arrival at row k is held. Arm it before the first Submit.
 func pauseAtRow(t *testing.T, s *Server, k int) (wait func()) {
 	reached := make(chan struct{})
-	var once sync.Once
+	held := false // only the spool writer reads or writes it
 	s.beforeSpoolRow = func(ctx context.Context, row int) {
-		if row != k {
+		if row != k || held {
 			return
 		}
-		held := false
-		once.Do(func() { held = true; close(reached) })
-		if held {
-			<-ctx.Done()
-		}
+		held = true
+		close(reached)
+		<-ctx.Done()
 	}
 	return func() {
 		t.Helper()
