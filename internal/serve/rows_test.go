@@ -82,10 +82,12 @@ func (x *steppedExecutor) ExecuteCampaign(ctx context.Context, job *ExecJob) err
 		return err
 	}
 	for i := job.Resume; i < len(rows); i++ {
+		// Count the row before emitting it: the client can receive it
+		// before Emit returns.
+		x.emitted.Store(int64(i + 1))
 		if err := job.Emit(StreamedRow{Index: i, Row: rows[i]}); err != nil {
 			return err
 		}
-		x.emitted.Store(int64(i + 1))
 		select {
 		case <-x.held:
 		case <-ctx.Done():
